@@ -69,9 +69,12 @@ def _elections(cluster) -> int:
     return sum(s.elections_started for s in cluster.servers)
 
 
-def _run_workload(cluster, recorder, stop_at: float, write_times: list):
+def put_get_workload(
+    cluster, recorder, stop_at: float, write_times: list, stream: str,
+) -> None:
     """Closed-loop put/get clients; successful put completion times
-    land in ``write_times`` (the raw material for TTFW)."""
+    land in ``write_times`` (the raw material for TTFW). Each client
+    draws from RNG stream ``<stream>.workload.<client>``."""
     sim = cluster.sim
     seq = {"n": 0}
 
@@ -85,13 +88,13 @@ def _run_workload(cluster, recorder, stop_at: float, write_times: list):
                     write_times.append(sim.now)
                 on_done()
 
-            client.put(key, 64 + seq["n"], on_done=lambda ok: done(ok))
+            client.put(key, 64 + seq["n"], on_done=done)
         else:
             client.get(key, mode="fast", on_done=lambda ok, size: on_done())
 
     for client in cluster.clients:
         client.history = recorder
-        rng = sim.rng.stream(f"partitions.workload.{client.name}")
+        rng = sim.rng.stream(f"{stream}.workload.{client.name}")
 
         def loop(client=client, rng=rng) -> None:
             if sim.now >= stop_at:
@@ -124,8 +127,8 @@ def _deaf_follower_hold(config, protocol: str) -> list[str]:
     recorder = HistoryRecorder()
     write_times: list[float] = []
     horizon = HOLD_END + 4.0
-    _run_workload(cluster, recorder, stop_at=horizon - 1.0,
-                  write_times=write_times)
+    put_get_workload(cluster, recorder, stop_at=horizon - 1.0,
+                     write_times=write_times, stream="partitions")
     lease_hits: list = []
     _sample_single_lease(cluster, horizon, lease_hits)
 
@@ -196,8 +199,8 @@ def _mttr_episode(config, seed: int, fault_window: float):
     horizon = max(final_heal, spec.end) + 6.0
     recorder = HistoryRecorder()
     write_times: list[float] = []
-    _run_workload(cluster, recorder, stop_at=horizon - 1.0,
-                  write_times=write_times)
+    put_get_workload(cluster, recorder, stop_at=horizon - 1.0,
+                     write_times=write_times, stream="partitions")
     lease_hits: list = []
     _sample_single_lease(cluster, horizon, lease_hits)
 

@@ -190,11 +190,9 @@ def _degraded_latency_phase(quick: bool) -> list[str]:
     return problems
 
 
-def _chaos_availability_phase(quick: bool) -> list[str]:
-    """Phase 2: bit-rot + gray-failure episodes, availability floor."""
-    problems: list[str] = []
-    seeds = 3 if quick else 8
-    spec = ChaosSpec(
+def availability_spec(quick: bool) -> ChaosSpec:
+    """Phase 2's episodes: bit-rot + gray failure, follower-read heavy."""
+    return ChaosSpec(
         schedule=ScheduleSpec(
             fault_window=6.0 if quick else 12.0,
             mean_gap=0.7,
@@ -212,7 +210,13 @@ def _chaos_availability_phase(quick: bool) -> list[str]:
         p_consistent_read=0.10,
         p_follower_read=0.25,
     )
-    runner = ChaosRunner(protocol="rs-paxos", spec=spec)
+
+
+def _chaos_availability_phase(quick: bool) -> list[str]:
+    """Phase 2: bit-rot + gray-failure episodes, availability floor."""
+    problems: list[str] = []
+    seeds = 3 if quick else 8
+    runner = ChaosRunner(protocol="rs-paxos", spec=availability_spec(quick))
     results, failures = runner.run(seeds, verbose=True)
     for r in failures:
         problems.append(

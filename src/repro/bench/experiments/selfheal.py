@@ -33,11 +33,12 @@ from __future__ import annotations
 import statistics
 from dataclasses import replace
 
-from ...chaos import ChaosRunner, ChaosSpec, ScheduleSpec
+from ...chaos import CHAOS_SERVER, ChaosRunner, ChaosSpec, ScheduleSpec
 from ...check import HistoryRecorder, check_cluster, check_history
 from ...core import rs_paxos
 from ...kvstore import build_cluster
 from ...net import LAN
+from .partitions import put_get_workload
 
 #: Median time from a permanent kill to full redundancy (all servers
 #: up, rebuilt, converged on the full 5-member view). Budget: ~3 s of
@@ -53,38 +54,6 @@ KILL_TIMES = (3.0, 19.0, 35.0)
 #: can re-admit. A shorter delay lets the spare's rejoin race (and win
 #: against) the eviction, healing via plain rebuild instead.
 PROVISION_DELAY = 9.0
-
-
-def _run_workload(cluster, recorder, stop_at: float, write_times: list):
-    """Closed-loop put/get clients; successful put completion times
-    land in ``write_times``."""
-    sim = cluster.sim
-    seq = {"n": 0}
-
-    def one_op(client, rng, on_done) -> None:
-        key = f"k{int(rng.integers(6))}"
-        if float(rng.random()) < 0.6:
-            seq["n"] += 1
-
-            def done(ok: bool) -> None:
-                if ok:
-                    write_times.append(sim.now)
-                on_done()
-
-            client.put(key, 64 + seq["n"], on_done=done)
-        else:
-            client.get(key, mode="fast", on_done=lambda ok, size: on_done())
-
-    for client in cluster.clients:
-        client.history = recorder
-        rng = sim.rng.stream(f"selfheal.workload.{client.name}")
-
-        def loop(client=client, rng=rng) -> None:
-            if sim.now >= stop_at:
-                return
-            one_op(client, rng, lambda: sim.call_after(0.02, loop))
-
-        sim.call_soon(loop)
 
 
 def _fully_redundant(cluster) -> bool:
@@ -114,8 +83,8 @@ def _permanent_failure_ladder() -> tuple[list[str], list[float]]:
     horizon = KILL_TIMES[-1] + TTR_BOUND + 6.0
     recorder = HistoryRecorder()
     write_times: list[float] = []
-    _run_workload(cluster, recorder, stop_at=horizon - 1.0,
-                  write_times=write_times)
+    put_get_workload(cluster, recorder, stop_at=horizon - 1.0,
+                     write_times=write_times, stream="selfheal")
 
     # In-sim redundancy probe: records, per cycle, the first instant
     # the cluster is back at full strength after the kill.
@@ -220,8 +189,7 @@ def _benign_spec(fault_window: float) -> ChaosSpec:
             partition_mix_weights=(3.0, 3.0, 2.0),
         ),
         settle=6.0,
-        auto_reconfigure=True,
-        auto_heal=True,
+        server=replace(CHAOS_SERVER, auto_reconfigure=True, auto_heal=True),
     )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..core import LeaseConfig, classic_paxos, rs_paxos
+from ..core import classic_paxos, rs_paxos
 from ..kvstore import Cluster, build_cluster
 from ..net import LAN, WAN, LinkSpec
 from ..storage import DiskSpec, HDD, SSD
@@ -69,9 +69,6 @@ class Setup:
 def make_cluster(
     setup: Setup,
     client_timeout: float = 60.0,
-    rpc_timeout: float | None = None,
-    lease_config: LeaseConfig | None = None,
-    group_commit_window: float = 0.002,
     settle: float = 0.5,
     **kw,
 ) -> Cluster:
@@ -80,8 +77,10 @@ def make_cluster(
     ``client_timeout`` defaults high: in saturation experiments queueing
     delay is real, and a spurious client timeout would re-issue (and
     double-count) the operation. Failover experiments pass something
-    small instead.
+    small instead. Server settings in ``kw`` go to :func:`build_cluster`;
+    ``rpc_timeout`` defaults to the environment's (30 s LAN, 60 s WAN).
     """
+    kw.setdefault("rpc_timeout", 30.0 if setup.env == "lan" else 60.0)
     cluster = build_cluster(
         setup.protocol_config(),
         num_clients=setup.num_clients,
@@ -89,11 +88,6 @@ def make_cluster(
         link=setup.link_spec(),
         disk=setup.disk_spec(),
         seed=setup.seed,
-        lease_config=lease_config,
-        group_commit_window=group_commit_window,
-        rpc_timeout=rpc_timeout
-        if rpc_timeout is not None
-        else (30.0 if setup.env == "lan" else 60.0),
         client_timeout=client_timeout,
         **kw,
     )

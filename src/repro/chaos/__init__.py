@@ -8,10 +8,13 @@ replicated state to :mod:`repro.check`. A failing seed replays exactly
 and ships as a JSON repro bundle.
 """
 
-from .runner import SHORT_SPEC, ChaosRunner, ChaosSpec, EpisodeResult
+from .runner import (
+    CHAOS_SERVER, SHORT_SPEC, ChaosRunner, ChaosSpec, EpisodeResult,
+)
 from .schedule import ChaosEvent, ScheduleSpec, arm_schedule, generate_schedule
 
 __all__ = [
+    "CHAOS_SERVER",
     "SHORT_SPEC",
     "ChaosEvent",
     "ChaosRunner",

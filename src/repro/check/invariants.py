@@ -238,7 +238,7 @@ def check_bounded_wal(servers) -> list[Violation]:
     """
     violations = []
     for srv in servers:
-        interval = getattr(srv, "checkpoint_interval", 0)
+        interval = srv.cfg.checkpoint_interval
         if not srv.up or interval <= 0:
             continue
         wal = srv.wal

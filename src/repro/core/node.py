@@ -54,6 +54,10 @@ from .value import (
 
 AnyConfig = Union[ProtocolConfig, UnsafeProtocolConfig]
 
+#: Modeled RS encode throughput (bytes/s): an erasure-coded proposal
+#: waits ``size / CODEC_BW`` of CPU time before its Accepts go out.
+CODEC_BW = 2e9
+
 
 def noop_value(instance: int) -> Value:
     """Gap-filling no-op proposal used during leader takeover."""
@@ -103,7 +107,6 @@ class PaxosNode:
         # use this value until the first sample toward a peer exists.
         rpc_timeout: float = 0.25,
         commit_interval: float = 0.005,
-        codec_bw: float = 2e9,
         tracer: Tracer = NULL_TRACER,
     ):
         if node_id not in peers:
@@ -118,7 +121,6 @@ class PaxosNode:
         self.peers = dict(peers)
         self.rpc_timeout = rpc_timeout
         self.commit_interval = commit_interval
-        self.codec_bw = codec_bw
         self.tracer = tracer
         self.stats = NodeStats()
 
@@ -501,7 +503,7 @@ class PaxosNode:
     def _charge_codec(self, nbytes: int) -> float:
         if nbytes <= 0:
             return 0.0
-        seconds = nbytes / self.codec_bw
+        seconds = nbytes / CODEC_BW
         self.stats.cpu_seconds += seconds
         return seconds
 

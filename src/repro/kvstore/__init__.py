@@ -4,6 +4,8 @@ Public API:
 
 - :func:`build_cluster` / :class:`Cluster` — assemble a full simulated
   deployment (§6.1 presets).
+- :class:`ServerConfig` — every server setting, declared once; the
+  keywords :func:`build_cluster` accepts beyond the deployment shape.
 - :class:`KVServer` — replica server: Paxos groups, local store, leader
   leases, fast/consistent/recovery reads, crash recovery, election.
 - :class:`KVClient` — leader-caching client with redirect handling.
@@ -24,6 +26,7 @@ from .batch import (
 )
 from .client import KVClient
 from .cluster import Cluster, build_cluster
+from .config import ServerConfig
 from .messages import (
     Busy,
     CatchUp,
@@ -95,6 +98,7 @@ __all__ = [
     "ShareReply",
     "SnapshotChunk",
     "SnapshotEntry",
+    "ServerConfig",
     "SpareStatus",
     "WrongShard",
     "build_cluster",

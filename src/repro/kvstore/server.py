@@ -21,7 +21,6 @@ from ..core import (
     ChosenRecord,
     CodedShare,
     Lease,
-    LeaseConfig,
     LocalClock,
     NULL_BALLOT,
     PaxosNode,
@@ -84,8 +83,18 @@ from .messages import (
     SpareStatus,
     WrongShard,
 )
+from .config import ServerConfig
 from .membership import AccrualFailureDetector, RepairController
 from .shard import ShardMap, encode_version, era_of, instance_of
+
+#: The server that elects itself at start-up; the others wait for its
+#: heartbeats (or for a vacancy timeout).
+INITIAL_LEADER = 0
+#: Rebalancer triggers, as multiples of the pool-mean load EWMA: split
+#: the hottest range above SPLIT_THRESHOLD (when a spare group is free),
+#: merge the coldest below MERGE_THRESHOLD (when >= 2 ranges exist).
+SPLIT_THRESHOLD = 2.0
+MERGE_THRESHOLD = 0.25
 
 
 class _BatchEntry:
@@ -118,32 +127,8 @@ class KVServer:
         config,
         disk_spec: DiskSpec,
         shard_map: ShardMap,
-        lease_config: LeaseConfig | None = None,
+        cfg: ServerConfig,
         clock_offset: float = 0.0,
-        group_commit_window: float = 0.002,
-        rpc_timeout: float = 0.25,
-        codec_bw: float = 2e9,
-        initial_leader: int = 0,
-        auto_reconfigure: bool = False,
-        auto_heal: bool = False,
-        suspicion_threshold: float = 6.0,
-        evict_grace: float = 2.0,
-        scrub_interval: float = 0.0,
-        checkpoint_interval: float = 0.0,
-        admission_control: bool = True,
-        max_inflight_proposals: int = 32,
-        max_queued_requests: int = 128,
-        tenant_weights: dict[str, float] | None = None,
-        hedge_fetches: bool = True,
-        rtt_select: bool = True,
-        batch_max_commands: int = 1,
-        batch_max_bytes: int = 256 * 1024,
-        batch_linger: float = 0.001,
-        dynamic_shards: bool = False,
-        max_group_pipeline: int = 0,
-        rebalance_interval: float = 0.0,
-        split_threshold: float = 2.0,
-        merge_threshold: float = 0.25,
         tracer: Tracer = NULL_TRACER,
         metrics: MetricSet | None = None,
     ):
@@ -154,7 +139,7 @@ class KVServer:
         self.peers = dict(peers)
         self.config = config
         self.shard_map = shard_map
-        self.lease_config = lease_config or LeaseConfig()
+        self.cfg = cfg
         self.tracer = tracer
         self.metrics = metrics or MetricSet()
 
@@ -162,12 +147,12 @@ class KVServer:
         self.mux = ChannelMux(self.endpoint)
         self.disk = Disk(sim, disk_spec, f"{name}.disk")
         self.wal = WriteAheadLog(
-            sim, self.disk, group_commit_window=group_commit_window,
+            sim, self.disk, group_commit_window=cfg.group_commit_window,
             name=f"{name}.wal",
         )
         self.store = LocalStore(f"{name}.store")
         self.clock = LocalClock(sim, clock_offset)
-        self.lease = Lease(self.clock, self.lease_config)
+        self.lease = Lease(self.clock, cfg.lease_config)
 
         # Dynamic sharding: the full group pool (``shard_map.num_groups``
         # data groups, active or spare) plus one distinguished *config*
@@ -176,17 +161,16 @@ class KVServer:
         # install zips fixed-length group lists, so groups can never be
         # created on the fly. Static mode builds exactly the data
         # groups, byte-for-byte the original layout.
-        self.dynamic_shards = dynamic_shards
         self.cfg_group: int | None = (
-            shard_map.num_groups if dynamic_shards else None
+            shard_map.num_groups if cfg.dynamic_shards else None
         )
-        total_groups = shard_map.num_groups + (1 if dynamic_shards else 0)
+        total_groups = shard_map.num_groups + (1 if cfg.dynamic_shards else 0)
         self.groups: list[PaxosNode] = []
         for g in range(total_groups):
             node = PaxosNode(
                 sim, self.mux.channel(g), WalView(self.wal, g), config,
                 node_id=node_id, peers=peers,
-                rpc_timeout=rpc_timeout, codec_bw=codec_bw, tracer=tracer,
+                rpc_timeout=cfg.rpc_timeout, tracer=tracer,
             )
             node.on_apply = self._make_apply_hook(g)
             node.on_preempted = lambda ballot, g=g: self._on_preempted(g)
@@ -196,7 +180,7 @@ class KVServer:
 
         self.up = True
         self.is_leader_server = False
-        self.current_leader: int | None = initial_leader
+        self.current_leader: int | None = INITIAL_LEADER
         self._electing = False
         self._hb_timer = None
         self._monitor_timer = None
@@ -214,7 +198,6 @@ class KVServer:
         # (including itself) concur. Grants are stateless opinions, so
         # a one-way-deaf follower probing forever cannot depose a
         # healthy leader. ``_pre_vote_state`` is (round_id, grants).
-        self.rpc_timeout = rpc_timeout
         self._pre_vote_round = 0
         self._pre_vote_state: tuple[int, set[int]] | None = None
         # Check-quorum: a leader whose lease stays expired past this
@@ -222,7 +205,7 @@ class KVServer:
         # of limping on — the cluster's other side may already be
         # electing, and a deaf leader serving stale lease reads is the
         # failure mode the lease math exists to prevent.
-        self.check_quorum_grace = 2 * self.lease_config.heartbeat_interval
+        self.check_quorum_grace = 2 * cfg.lease_config.heartbeat_interval
         self._lease_lost_since: float | None = None
         # Election-churn accounting (cumulative across crashes, like
         # requests_shed): real ballot-bump elections started here, wins
@@ -284,13 +267,6 @@ class KVServer:
         # estimate handed to shed clients. The untagged tenant ("") has
         # weight 1 like any other, so single-tenant behaviour is the
         # old FIFO pipeline exactly.
-        self.admission_control = admission_control
-        self.max_inflight_proposals = max_inflight_proposals
-        self.max_queued_requests = max_queued_requests
-        self.tenant_weights: dict[str, float] = dict(tenant_weights or {})
-        for t, w in self.tenant_weights.items():
-            if w <= 0:
-                raise ValueError(f"tenant weight must be > 0: {t!r}={w}")
         self._open_proposals = 0
         self._admission_queues: dict[str, deque] = {}
         self._drr_order: list[str] = []
@@ -309,7 +285,6 @@ class KVServer:
         # is sent to the next-fastest when the primary fanout overruns
         # its expected completion time — one slow-but-alive peer no
         # longer gates the read tail.
-        self.hedge_fetches = hedge_fetches
         self.hedges_issued = 0
         self.hedge_wins = 0
         # Repair-optimal share selection: every share/catch-up fetch
@@ -319,7 +294,6 @@ class KVServer:
         # has not seen yet). ``rtt_select=False`` is the measured
         # baseline for the readpath gate: sources drawn in seeded
         # random order instead.
-        self.rtt_select = rtt_select
         self._fetch_load: dict[str, int] = {}
         self._select_rng = sim.rng.stream(f"{name}.select")
 
@@ -331,9 +305,6 @@ class KVServer:
         # the apply path unpacks it and releases each parked client reply
         # individually. batch_max_commands <= 1 takes the original
         # single-command path untouched (bit-for-bit determinism).
-        self.batch_max_commands = max(1, batch_max_commands)
-        self.batch_max_bytes = batch_max_bytes
-        self.batch_linger = batch_linger
         self._pending_batch: dict[int, list] = {}
         self._batch_timers: dict[int, object] = {}
         self.batches_proposed = 0
@@ -342,7 +313,6 @@ class KVServer:
         # pass re-verifies WAL record checksums and repairs corrupt
         # coded shares from peers via the RS decoder. ``_scrubbing``
         # holds the (group, instance) pairs with a repair in flight.
-        self.scrub_interval = scrub_interval
         self._scrub_timer = None
         self._scrubbing: set[tuple[int, int]] = set()
 
@@ -353,7 +323,6 @@ class KVServer:
         # apply cursor the latest checkpoint captured for group ``g`` —
         # instances below it can no longer be served entry-by-entry
         # (CatchUp); a peer that far behind gets snapshot transfer.
-        self.checkpoint_interval = checkpoint_interval
         self.checkpoint_store = CheckpointStore(sim, self.disk, f"{name}.ckpt")
         self._ckpt_timer = None
         self._ckpt_inflight = False
@@ -383,10 +352,6 @@ class KVServer:
         # is the map version a local copy driver is running for (None =
         # idle); the authoritative in-flight marker lives in the
         # replicated map itself, so a new leader resumes from it.
-        self.max_group_pipeline = max_group_pipeline
-        self.rebalance_interval = rebalance_interval
-        self.split_threshold = split_threshold
-        self.merge_threshold = merge_threshold
         self._rebalance_timer = None
         self._group_load: list[float] = [0.0] * len(self.groups)
         self._load_ewma: list[float] = [0.0] * len(self.groups)
@@ -409,8 +374,6 @@ class KVServer:
         # via reconfigure_add, restoring full redundancy.
         self.view_epoch = 0
         self.member_ids: set[int] = set(peers)
-        self.auto_reconfigure = auto_reconfigure
-        self.auto_heal = auto_heal
         self._view_changing = False
         self._last_ack: dict[int, float] = {}
         self.view_changes_completed = 0
@@ -418,16 +381,14 @@ class KVServer:
         self._last_pre_vote_seen: float | None = None
         self._last_view_sync = float("-inf")
         self.detector = AccrualFailureDetector(
-            threshold=suspicion_threshold,
-            heartbeat_interval=self.lease_config.heartbeat_interval,
+            heartbeat_interval=cfg.lease_config.heartbeat_interval,
         )
         self.repair = RepairController(
             node_id,
             self.detector,
             f=config.f,
-            evict_grace=evict_grace,
-            auto_evict=auto_reconfigure,
-            auto_heal=auto_heal,
+            auto_evict=cfg.auto_reconfigure,
+            auto_heal=cfg.auto_heal,
             evict=self.reconfigure_remove,
             restore=self.reconfigure_add,
             probe=self._probe_spare,
@@ -455,8 +416,8 @@ class KVServer:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Arm lease machinery; the configured initial leader elects
-        itself immediately."""
+        """Arm lease machinery; server ``INITIAL_LEADER`` elects itself
+        immediately."""
         self.lease.renew()  # startup grace period
         if self.current_leader == self.node_id:
             self._start_election()
@@ -591,7 +552,7 @@ class KVServer:
     def _arm_monitor(self) -> None:
         if not self.up:
             return
-        interval = self.lease_config.heartbeat_interval
+        interval = self.cfg.lease_config.heartbeat_interval
         self._monitor_timer = self.sim.call_after(interval, self._monitor_tick)
 
     def _monitor_tick(self) -> None:
@@ -608,7 +569,7 @@ class KVServer:
             last = self.current_leader if self.current_leader is not None else 0
             rank = (self.node_id - last - 1) % len(self.peers)
             self.sim.call_after(
-                rank * self.lease_config.heartbeat_interval * 0.5,
+                rank * self.cfg.lease_config.heartbeat_interval * 0.5,
                 self._maybe_elect,
             )
             self._electing = True
@@ -665,7 +626,7 @@ class KVServer:
                 self._electing = False
                 self.metrics.counter("election.pre_vote_failed").inc(1)
 
-        self.sim.call_after(self.rpc_timeout, timed_out)
+        self.sim.call_after(self.cfg.rpc_timeout, timed_out)
 
     def _on_pre_vote(self, msg: PreVote, src: str) -> None:
         if not self.up:
@@ -811,7 +772,7 @@ class KVServer:
         # Degenerate single-member group: no follower can contest.
         if self._acks_needed() == 0:
             self.lease.renew_at(sent_at)
-        if self.auto_reconfigure or self.auto_heal:
+        if self.cfg.auto_reconfigure or self.cfg.auto_heal:
             self._membership_tick()
 
     def _acks_needed(self) -> int:
@@ -1228,7 +1189,7 @@ class KVServer:
         if a slot is free and no tenant is waiting, later when the DRR
         scheduler reaches this tenant's queue, or never (the client gets
         Busy) when this tenant's queue and the pipeline are both full."""
-        if not self.admission_control:
+        if not self.cfg.admission_control:
             start(respond)
             return
         if (
@@ -1238,7 +1199,7 @@ class KVServer:
             self._begin(respond, start)
             return
         q = self._tenant_queue(tenant)
-        if len(q) < self.max_queued_requests:
+        if len(q) < self.cfg.max_queued_requests:
             q.append((respond, start))
             self._pump_admissions()
             return
@@ -1263,7 +1224,7 @@ class KVServer:
         return q
 
     def _tenant_weight(self, tenant: str) -> float:
-        return self.tenant_weights.get(tenant, 1.0)
+        return self.cfg.tenant_weights.get(tenant, 1.0)
 
     def _inflight_budget(self) -> int:
         """Admitted-command budget. ``max_inflight_proposals`` bounds
@@ -1271,7 +1232,7 @@ class KVServer:
         up to ``batch_max_commands`` commands, so the command-level
         budget scales accordingly (at batch_max_commands=1 this is
         exactly the original per-command bound)."""
-        return self.max_inflight_proposals * self.batch_max_commands
+        return self.cfg.max_inflight_proposals * self.cfg.batch_max_commands
 
     def _begin(self, respond, start: Callable) -> None:
         """Occupy a pipeline slot; the slot is released exactly once,
@@ -1429,13 +1390,13 @@ class KVServer:
         pending = self._pending_batch.setdefault(group, [])
         pending.append(entry)
         if (
-            len(pending) >= self.batch_max_commands
-            or self._pending_frame_bytes(pending) >= self.batch_max_bytes
+            len(pending) >= self.cfg.batch_max_commands
+            or self._pending_frame_bytes(pending) >= self.cfg.batch_max_bytes
         ):
             self._close_batch(group)
         elif group not in self._batch_timers:
             self._batch_timers[group] = self.sim.call_after(
-                max(0.0, self.batch_linger),
+                max(0.0, self.cfg.batch_linger),
                 lambda: self._close_batch(group),
             )
 
@@ -1523,7 +1484,7 @@ class KVServer:
             return
         group = self.shard_map.group_of(msg.key)
         if self._already_applied(group, msg.client, msg.op_id) or (
-            self.dynamic_shards
+            self.cfg.dynamic_shards
             and bool(msg.client)
             and (msg.client, msg.op_id) in self._applied_ids
         ):
@@ -1556,7 +1517,7 @@ class KVServer:
             reply = PutOk(msg.key, map_version=self.shard_map.version)
             respond(reply, reply.wire_bytes)
 
-        if self.batch_max_commands > 1:
+        if self.cfg.batch_max_commands > 1:
             self._enqueue_batched(group, _BatchEntry(
                 "put", msg.key, msg.size, msg.data, msg.client, msg.op_id,
                 reply_now, respond,
@@ -1592,7 +1553,7 @@ class KVServer:
             return
         group = self.shard_map.group_of(msg.key)
         if self._already_applied(group, msg.client, msg.op_id) or (
-            self.dynamic_shards
+            self.cfg.dynamic_shards
             and bool(msg.client)
             and (msg.client, msg.op_id) in self._applied_ids
         ):
@@ -1615,7 +1576,7 @@ class KVServer:
                 reply = PutOk(msg.key, map_version=self.shard_map.version)
                 respond(reply, reply.wire_bytes)
 
-        if self.batch_max_commands > 1:
+        if self.cfg.batch_max_commands > 1:
             self._enqueue_batched(group, _BatchEntry(
                 "delete", msg.key, 0, None, msg.client, msg.op_id,
                 reply_now, respond,
@@ -1645,7 +1606,7 @@ class KVServer:
         self._maybe_fence_write(msg.key, group)
 
     def _on_get(self, msg: ClientGet, src: str, respond) -> None:
-        if self.up and self.dynamic_shards and (
+        if self.up and self.cfg.dynamic_shards and (
             msg.map_version > self.shard_map.version
         ):
             # The client has seen a newer shard map than this replica
@@ -1817,7 +1778,7 @@ class KVServer:
             if self.up:
                 self._serve_read(msg.key, start, respond)
 
-        if self.batch_max_commands > 1:
+        if self.cfg.batch_max_commands > 1:
             self._enqueue_batched(group, _BatchEntry(
                 "read", msg.key, 0, None, "", 0, serve, respond,
             ))
@@ -1929,7 +1890,7 @@ class KVServer:
         hosts = [
             h for nid, h in sorted(self.peers.items()) if nid != self.node_id
         ]
-        if not self.rtt_select:
+        if not self.cfg.rtt_select:
             order = list(hosts)
             self._select_rng.shuffle(order)
             return order
@@ -2115,7 +2076,7 @@ class KVServer:
                 host = hosts[state["next"]]
                 state["next"] += 1
                 issue(host, hedge=False)
-            if self.hedge_fetches:
+            if self.cfg.hedge_fetches:
                 arm_hedge()
 
         if shares and len(shares) >= needed():
@@ -2159,11 +2120,11 @@ class KVServer:
     # ------------------------------------------------------------------
 
     def _arm_scrubber(self) -> None:
-        if not self.up or self.scrub_interval <= 0:
+        if not self.up or self.cfg.scrub_interval <= 0:
             return
         # Stagger the first pass per server so the fleet's scrub IO
         # does not synchronize.
-        delay = self.scrub_interval * (1.0 + 0.1 * self.node_id)
+        delay = self.cfg.scrub_interval * (1.0 + 0.1 * self.node_id)
         self._scrub_timer = self.sim.call_after(delay, self._scrub_tick)
 
     def _scrub_tick(self) -> None:
@@ -2171,7 +2132,7 @@ class KVServer:
             return
         self.scrub_now()
         self._scrub_timer = self.sim.call_after(
-            self.scrub_interval, self._scrub_tick
+            self.cfg.scrub_interval, self._scrub_tick
         )
 
     def inject_bit_rot(self, rng) -> bool:
@@ -2442,7 +2403,7 @@ class KVServer:
 
         def arm_hedge() -> None:
             if (
-                not self.hedge_fetches
+                not self.cfg.hedge_fetches
                 or state["done"]
                 or hedge_timer[0] is not None
                 or not out_hosts
@@ -2524,11 +2485,11 @@ class KVServer:
     # ------------------------------------------------------------------
 
     def _arm_checkpointer(self) -> None:
-        if not self.up or self.checkpoint_interval <= 0:
+        if not self.up or self.cfg.checkpoint_interval <= 0:
             return
         # Stagger per server so the fleet's checkpoint IO (and the
         # brief extra disk load) does not synchronize.
-        delay = self.checkpoint_interval * (1.0 + 0.07 * self.node_id)
+        delay = self.cfg.checkpoint_interval * (1.0 + 0.07 * self.node_id)
         self._ckpt_timer = self.sim.call_after(delay, self._ckpt_tick)
 
     def _ckpt_tick(self) -> None:
@@ -2536,7 +2497,7 @@ class KVServer:
             return
         self.checkpoint_now()
         self._ckpt_timer = self.sim.call_after(
-            self.checkpoint_interval, self._ckpt_tick
+            self.cfg.checkpoint_interval, self._ckpt_tick
         )
 
     def checkpoint_now(self, on_done: Callable[[], None] | None = None) -> bool:
@@ -2622,7 +2583,7 @@ class KVServer:
         self._applied_ops = set(payload["applied_ops"])
         self._applied_ids = {
             (c, o) for (_g, c, o) in self._applied_ops
-        } if self.dynamic_shards else set()
+        } if self.cfg.dynamic_shards else set()
         self.compact_floor = list(payload["group_floors"])
         ckpt_map = payload.get("shard_map")
         if ckpt_map is not None and ckpt_map.version > self.shard_map.version:
@@ -3252,7 +3213,7 @@ class KVServer:
         if reply.max_ballot is not None:
             node._max_ballot_seen = max(node._max_ballot_seen, reply.max_ballot)
         self._applied_ops.update(reply.applied_ops)
-        if self.dynamic_shards:
+        if self.cfg.dynamic_shards:
             self._applied_ids.update(
                 (c, o) for (_g, c, o) in reply.applied_ops
             )
@@ -3565,7 +3526,7 @@ class KVServer:
     def _account_write(self, group: int, key: str) -> None:
         """Per-group load window + bounded per-key write frequencies
         (the weighted-median sample for split boundaries)."""
-        if not self.dynamic_shards:
+        if not self.cfg.dynamic_shards:
             return
         self._group_load[group] += 1.0
         if key in self._key_freq or len(self._key_freq) < self._key_freq_cap:
@@ -3582,7 +3543,7 @@ class KVServer:
         predecessor's newer map would stamp it with a stale era and a
         later copy could silently supersede the acknowledged value).
         """
-        if not self.dynamic_shards:
+        if not self.cfg.dynamic_shards:
             return True
         if msg.map_version > self.shard_map.version:
             self.wrong_shard_replies += 1
@@ -3602,10 +3563,10 @@ class KVServer:
         proposal pipeline sheds (Busy) instead of queueing the whole
         server into collapse — this is what makes a hot range *leader-
         bound per group* and splitting it measurably help."""
-        if self.max_group_pipeline <= 0:
+        if self.cfg.max_group_pipeline <= 0:
             return True
         node = self.groups[group]
-        if len(node._inflight) < self.max_group_pipeline:
+        if len(node._inflight) < self.cfg.max_group_pipeline:
             return True
         self.metrics.counter("shard.group_shed").inc(1)
         if tenant:
@@ -3621,7 +3582,7 @@ class KVServer:
         every cutover-window mutation's ordering, and any straggler
         state derived from it (catch-up of a lagging replica) cannot
         present the window as write-free."""
-        if not self.dynamic_shards:
+        if not self.cfg.dynamic_shards:
             return
         mig = self.shard_map.migrating
         if mig is None:
@@ -3683,7 +3644,7 @@ class KVServer:
         idempotent: applies are era-guarded)."""
         if (
             not self.up
-            or not self.dynamic_shards
+            or not self.cfg.dynamic_shards
             or not self.is_leader_server
             or self.shard_map.migrating is None
             or self._migration_task is not None
@@ -3893,13 +3854,13 @@ class KVServer:
 
     def _arm_rebalancer(self) -> None:
         if (
-            not self.up or not self.dynamic_shards
-            or self.rebalance_interval <= 0
+            not self.up or not self.cfg.dynamic_shards
+            or self.cfg.rebalance_interval <= 0
         ):
             return
         # Stagger per server like the scrubber, so follower windows do
         # not tick in lockstep with the leader's.
-        delay = self.rebalance_interval * (1.0 + 0.1 * self.node_id)
+        delay = self.cfg.rebalance_interval * (1.0 + 0.1 * self.node_id)
         self._rebalance_timer = self.sim.call_after(
             delay, self._rebalance_tick)
 
@@ -3907,7 +3868,7 @@ class KVServer:
         if not self.up:
             return
         self._rebalance_timer = self.sim.call_after(
-            self.rebalance_interval, self._rebalance_tick)
+            self.cfg.rebalance_interval, self._rebalance_tick)
         window = list(self._group_load)
         self._group_load = [0.0] * len(self.groups)
         for g, n in enumerate(window):
@@ -3932,13 +3893,13 @@ class KVServer:
         hot = max(active, key=lambda g: loads[g])
         cold = min(active, key=lambda g: loads[g])
         if (
-            loads[hot] > self.split_threshold * mean
+            loads[hot] > SPLIT_THRESHOLD * mean
             and self.shard_map.spare_groups()
         ):
             boundary = self._split_boundary(hot)
             if boundary is not None and self.force_split(boundary=boundary):
                 return
-        if len(active) >= 2 and loads[cold] < self.merge_threshold * mean:
+        if len(active) >= 2 and loads[cold] < MERGE_THRESHOLD * mean:
             self.force_merge(group=cold)
 
     def _split_boundary(self, group: int) -> str | None:
@@ -3974,7 +3935,7 @@ class KVServer:
         the weighted median of the hottest range) into a spare group.
         Leader-only; True when the prepare ShardCmd was proposed."""
         if (
-            not self.up or not self.dynamic_shards
+            not self.up or not self.cfg.dynamic_shards
             or not self.is_leader_server
             or not self.shard_map.is_range_map
             or self.shard_map.migrating is not None
@@ -4011,7 +3972,7 @@ class KVServer:
         neighbour; the emptied group returns to the spare pool.
         Leader-only; True when the prepare ShardCmd was proposed."""
         if (
-            not self.up or not self.dynamic_shards
+            not self.up or not self.cfg.dynamic_shards
             or not self.is_leader_server
             or not self.shard_map.is_range_map
             or self.shard_map.migrating is not None

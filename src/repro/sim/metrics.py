@@ -42,53 +42,6 @@ class Gauge:
         self.value = value
 
 
-class LatencyRecorder:
-    """Accumulates latency samples; summarizes on demand."""
-
-    def __init__(self, name: str = "latency"):
-        self.name = name
-        self._samples: list[float] = []
-
-    def record(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError("negative latency")
-        self._samples.append(seconds)
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    @property
-    def samples(self) -> np.ndarray:
-        return np.asarray(self._samples, dtype=np.float64)
-
-    def mean(self) -> float:
-        if not self._samples:
-            return float("nan")
-        return float(np.mean(self.samples))
-
-    def percentile(self, q: float) -> float:
-        if not self._samples:
-            return float("nan")
-        return float(np.percentile(self.samples, q))
-
-    def summary(self) -> dict[str, float]:
-        """Mean/median/p99/p999/min/max in **milliseconds** (paper's
-        unit). p999 is the SLO-gate quantile: a tenant's tail as its
-        own clients experience it."""
-        if not self._samples:
-            return {"count": 0}
-        s = self.samples * 1e3
-        return {
-            "count": len(s),
-            "mean_ms": float(np.mean(s)),
-            "p50_ms": float(np.percentile(s, 50)),
-            "p99_ms": float(np.percentile(s, 99)),
-            "p999_ms": float(np.percentile(s, 99.9)),
-            "min_ms": float(np.min(s)),
-            "max_ms": float(np.max(s)),
-        }
-
-
 @dataclass
 class ThroughputMeter:
     """Records (time, bytes) completion events; reports Mbps.
@@ -146,9 +99,15 @@ class ThroughputMeter:
 class Histogram:
     """A value-distribution instrument (e.g. commands per batch).
 
-    Unlike :class:`LatencyRecorder` it accepts arbitrary non-negative
-    magnitudes and summarizes in the recorded unit, not milliseconds.
+    Accepts arbitrary non-negative magnitudes and summarizes in the
+    recorded unit.
     """
+
+    #: summary() reports the samples times ``scale``, under keys
+    #: suffixed with ``unit``; ``with_min`` adds the minimum.
+    scale = 1.0
+    unit = ""
+    with_min = False
 
     def __init__(self, name: str = "histogram"):
         self.name = name
@@ -156,8 +115,8 @@ class Histogram:
 
     def record(self, value: float) -> None:
         if value < 0:
-            raise ValueError("negative histogram sample")
-        self._samples.append(float(value))
+            raise ValueError(f"negative sample for {self.name!r}")
+        self._samples.append(value)
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -179,15 +138,32 @@ class Histogram:
     def summary(self) -> dict[str, float]:
         if not self._samples:
             return {"count": 0}
-        s = self.samples
-        return {
+        s = self.samples * self.scale
+        u = self.unit
+        out = {
             "count": len(s),
-            "mean": float(np.mean(s)),
-            "p50": float(np.percentile(s, 50)),
-            "p99": float(np.percentile(s, 99)),
-            "p999": float(np.percentile(s, 99.9)),
-            "max": float(np.max(s)),
+            "mean" + u: float(np.mean(s)),
+            "p50" + u: float(np.percentile(s, 50)),
+            "p99" + u: float(np.percentile(s, 99)),
+            "p999" + u: float(np.percentile(s, 99.9)),
         }
+        if self.with_min:
+            out["min" + u] = float(np.min(s))
+        out["max" + u] = float(np.max(s))
+        return out
+
+
+class LatencyRecorder(Histogram):
+    """Latency samples in seconds, summarized in **milliseconds** (the
+    paper's unit). p999 is the SLO-gate quantile: a tenant's tail as its
+    own clients experience it."""
+
+    scale = 1e3
+    unit = "_ms"
+    with_min = True
+
+    def __init__(self, name: str = "latency"):
+        super().__init__(name)
 
 
 class MetricSet:

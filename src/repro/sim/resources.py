@@ -14,7 +14,6 @@ evaluation needs to report device-bound vs. network-bound regimes.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable
 
 from .loop import Simulator
@@ -31,7 +30,6 @@ class FifoResource:
     def __init__(self, sim: Simulator, name: str = "resource"):
         self.sim = sim
         self.name = name
-        self._queue: deque[tuple[float, Callable[[], None]]] = deque()
         self._busy_until = 0.0
         self._busy_time = 0.0  # integral of busy periods
         self.jobs_served = 0

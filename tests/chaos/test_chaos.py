@@ -6,10 +6,14 @@ worthless, so we verify a deliberately weakened quorum config
 """
 
 import json
+from dataclasses import asdict, replace
 
 import pytest
 
+from repro.bench.experiments.chaos import _wipe_heavy_spec
+from repro.bench.experiments.readpath import availability_spec
 from repro.chaos import (
+    CHAOS_SERVER,
     SHORT_SPEC,
     ChaosRunner,
     ChaosSpec,
@@ -204,7 +208,8 @@ class TestEpisodes:
             schedule=ScheduleSpec(fault_window=4.0, mean_gap=0.8),
             settle=3.0, num_clients=2, num_keys=4,
             tenants=("gold", "bronze"),
-            tenant_weights=(("gold", 3.0), ("bronze", 1.0)),
+            server=replace(
+                CHAOS_SERVER, tenant_weights={"gold": 3.0, "bronze": 1.0}),
         )
         runner = ChaosRunner(protocol="rs-paxos", spec=spec,
                              bundle_dir=None)
@@ -301,3 +306,32 @@ class TestReproBundle:
         assert bundle["schedule"]
         assert "run_episode(0)" in bundle["replay"]
         assert bundle["config"] == {"n": 5, "q_r": 3, "q_w": 4, "x": 3}
+
+    @pytest.mark.parametrize("spec", [
+        SHORT_SPEC,
+        _wipe_heavy_spec(short=True),
+        availability_spec(quick=True),
+        ChaosSpec(tenants=("gold",), server=replace(
+            CHAOS_SERVER, tenant_weights={"gold": 2.0}, batch_max_commands=8)),
+    ], ids=["short", "wipe-heavy", "readpath", "tenants"])
+    def test_spec_survives_json_round_trip(self, spec):
+        text = json.dumps(asdict(spec))
+        assert ChaosSpec.from_jsonable(json.loads(text)) == spec
+
+    def test_replay_regenerates_recorded_schedule(self, tmp_path):
+        # A non-default spec: replaying the default one instead would
+        # draw a different fault schedule.
+        spec = replace(
+            TINY_SPEC,
+            schedule=replace(TINY_SPEC.schedule, wipe_weight=8.0),
+            server=replace(CHAOS_SERVER, batch_max_commands=4),
+        )
+        runner = ChaosRunner(spec=spec, bundle_dir=str(tmp_path))
+        result, _ = runner.run_episode(2)
+        with open(runner._write_bundle(result)) as fh:
+            bundle = json.load(fh)
+        assert ChaosSpec.from_jsonable(bundle["spec"]) == spec
+        ns: dict = {}
+        exec(bundle["replay"], ns)
+        replayed = [e.to_jsonable() for e in ns["result"].schedule]
+        assert json.loads(json.dumps(replayed)) == bundle["schedule"]
