@@ -118,16 +118,12 @@ def main(argv: list[str] | None = None) -> int:
     for name in names:
         desc, module = EXPERIMENTS[name]
         print(f"\n###### {desc} ######")
-        if name == "table1":
-            module.main()
-        elif name == "chaos":
-            status |= module.main(seeds=args.seeds, short=args.short,
-                                  wipe_heavy=args.wipe_heavy)
-        elif name in ("overload", "batching", "ycsb", "partitions",
-                      "readpath", "selfheal", "shards"):
-            status |= module.main(quick=not args.full)
+        if name == "chaos":
+            rc = module.main(seeds=args.seeds, short=args.short,
+                             wipe_heavy=args.wipe_heavy)
         else:
-            module.main(quick=not args.full)
+            rc = module.main(quick=not args.full)
+        status |= rc or 0  # figures return None; gates return 0 or 1
     return status
 
 

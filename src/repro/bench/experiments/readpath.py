@@ -30,6 +30,8 @@ Any violated bound exits non-zero::
 
 from __future__ import annotations
 
+from statistics import median
+
 from ...chaos import ChaosRunner, ChaosSpec, ScheduleSpec
 from ...check import HistoryRecorder, check_history
 from ...core import rs_paxos
@@ -53,14 +55,6 @@ def _p99(samples: list[float]) -> float:
     s = sorted(samples)
     idx = min(len(s) - 1, max(0, int(round(0.99 * len(s))) - 1))
     return s[idx]
-
-
-def _median(samples) -> float:
-    s = sorted(samples)
-    if not s:
-        return float("nan")
-    mid = len(s) // 2
-    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2.0
 
 
 def _write_keys(cluster, client, keys: list[str], base: int) -> list[str]:
@@ -286,7 +280,7 @@ def _selection_phase(quick: bool) -> list[str]:
     rnd = _run_repair_ladder(rtt_select=False, rounds=rounds)
     if not rtt or not rnd:
         return ["phase3: repair ladder produced no repair samples"]
-    med_rtt, med_rnd = _median(rtt), _median(rnd)
+    med_rtt, med_rnd = median(rtt), median(rnd)
     print(f"   repair share-fetch latency over {rounds} rot->repair "
           f"rounds: rtt-aware median {med_rtt * 1000:.3f} ms "
           f"({len(rtt)} repairs) vs random {med_rnd * 1000:.3f} ms "

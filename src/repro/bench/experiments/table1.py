@@ -25,8 +25,8 @@ def render(rows: list[ConfigRow]) -> str:
     )
 
 
-def main() -> None:
-    print(render(run()))
+def main(quick: bool = True) -> None:
+    print(render(run(quick=quick)))
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from ..core import (
     encode_one_share,
     fresh_value_id,
 )
+from ..core.acceptor import AcceptorInstance
 from ..net import Network
 from ..rpc import ChannelMux, RpcEndpoint
 from ..sim import MetricSet, NULL_TRACER, Simulator, Tracer
@@ -84,6 +85,7 @@ from .messages import (
     WrongShard,
 )
 from .config import ServerConfig
+from .fetch import ShareFetcher
 from .membership import AccrualFailureDetector, RepairController
 from .shard import ShardMap, encode_version, era_of, instance_of
 
@@ -95,6 +97,10 @@ INITIAL_LEADER = 0
 #: merge the coldest below MERGE_THRESHOLD (when >= 2 ranges exist).
 SPLIT_THRESHOLD = 2.0
 MERGE_THRESHOLD = 0.25
+#: Seconds a snapshot page or a migration copy waits for one value's
+#: shares before skipping it (the requester or the retry pass tries
+#: again); the gather stops fetching at the same moment.
+GATHER_DEADLINE = 3.0
 
 
 class _BatchEntry:
@@ -279,23 +285,10 @@ class KVServer:
         self.requests_shed = 0
         self.requests_shed_by_tenant: dict[str, int] = {}
 
-        # Hedged share/snapshot fetches (gray-failure tolerance): a
-        # recovery read needs only X of N-1 peers, so fetches go to the
-        # X currently-fastest peers (by the RTT estimator) and a hedge
-        # is sent to the next-fastest when the primary fanout overruns
-        # its expected completion time — one slow-but-alive peer no
-        # longer gates the read tail.
-        self.hedges_issued = 0
-        self.hedge_wins = 0
-        # Repair-optimal share selection: every share/catch-up fetch
-        # picks its source peers by Jacobson RTT estimate *plus* the
-        # number of fetches this server already has outstanding toward
-        # the peer (an in-flight fetch is queueing delay the estimator
-        # has not seen yet). ``rtt_select=False`` is the measured
-        # baseline for the readpath gate: sources drawn in seeded
-        # random order instead.
-        self._fetch_load: dict[str, int] = {}
-        self._select_rng = sim.rng.stream(f"{name}.select")
+        # Share fetching (degraded reads, scrub repair, placement fill,
+        # snapshot re-coding, migration copies) and catch-up source
+        # ranking: see kvstore/fetch.py.
+        self.fetcher = ShareFetcher(self)
 
         # Leader-side command batching: admitted mutations accumulate in
         # a per-group pending batch, closed by count (batch_max_commands),
@@ -452,7 +445,7 @@ class KVServer:
         self._read_barrier = [-1] * len(self.groups)
         self._fetching.clear()
         self._scrubbing.clear()
-        self._fetch_load.clear()
+        self.fetcher.load.clear()
         self._ckpt_inflight = False
         self._snap_inflight.clear()
         self._flush_admissions()
@@ -945,11 +938,7 @@ class KVServer:
         return apply_
 
     def _apply_one(self, group: int, instance: int, rec: ChosenRecord) -> None:
-        meta = None
-        if rec.value is not None:
-            meta = rec.value.meta
-        elif rec.share is not None:
-            meta = rec.share.meta
+        meta = self._meta_of(rec)
         if not isinstance(meta, Command):
             return  # no-op filler or unknown decision: nothing to apply
         if meta.op == "batch":
@@ -1833,13 +1822,6 @@ class KVServer:
         instance = instance_of(entry.version)
         share = entry.value  # this node's coded share (may be None)
         value_id = share.value_id if share is not None else None
-        if isinstance(share, CodedShare) and share.corrupt:
-            # Degraded read: the local share rotted (or sits
-            # quarantined awaiting the scrubber). Its metadata still
-            # names the decided value, but its bytes must never seed a
-            # decode — fetch X *clean* shares instead of failing or
-            # blocking on the repair.
-            share = None
         if value_id is None:
             rec = node.chosen.get(instance)
             value_id = rec.value_id if rec is not None else None
@@ -1847,9 +1829,12 @@ class KVServer:
             r = NotFound(key, map_version=self.shard_map.version)
             respond(r, r.wire_bytes)
             return
-        if share is None:
-            # No usable local fragment (rotten, quarantined, or
-            # mid-rebuild): this read proceeds purely from peer shares.
+        if not isinstance(share, CodedShare) or share.corrupt:
+            # Degraded read: no usable local fragment (rotten,
+            # quarantined awaiting the scrubber, or mid-rebuild). A
+            # rotten share still names the decided value, but the
+            # gather never seeds a decode with its bytes: this read
+            # proceeds purely from X *clean* peer shares.
             self.degraded_reads += 1
             self.metrics.counter("read.degraded").inc(1)
 
@@ -1867,222 +1852,8 @@ class KVServer:
             r = GetOk(key, size, data, map_version=self.shard_map.version)
             respond(r, r.wire_bytes)
 
-        self._gather_shares(group, instance, value_id, share, on_value)
-
-    def _peers_by_latency(self) -> list[str]:
-        """Peer hosts fastest-first: repair-optimal source selection.
-
-        Rank = Jacobson RTT estimate scaled by the fetches this server
-        already has in flight toward the peer — each outstanding fetch
-        is roughly one more service time of queueing the estimator has
-        not observed yet, so a fast-but-busy peer yields to an idle
-        slightly-slower one (Rashmi et al.: recovery traffic is
-        network-bound; *which* X sources you pick is the cost). Peers
-        with no unambiguous sample yet sort after measured ones
-        (unknown is not the same as fast); ties break by name so the
-        order — and everything hedging derives from it — is
-        deterministic.
-
-        With ``rtt_select=False`` (the readpath gate's measured
-        baseline) sources come back in seeded-random order instead —
-        no RTT, no load signal.
-        """
-        hosts = [
-            h for nid, h in sorted(self.peers.items()) if nid != self.node_id
-        ]
-        if not self.cfg.rtt_select:
-            order = list(hosts)
-            self._select_rng.shuffle(order)
-            return order
-
-        def rank(h: str):
-            st = self.endpoint.peer_stats(h)
-            load = self._fetch_load.get(h, 0)
-            if not st.samples:
-                return (1, float(load), 0.0, h)
-            return (0, st.ewma * (1.0 + load), st.ewma, h)
-
-        return sorted(hosts, key=rank)
-
-    def _fetch_started(self, host: str) -> None:
-        self._fetch_load[host] = self._fetch_load.get(host, 0) + 1
-
-    def _fetch_finished(self, host: str) -> None:
-        n = self._fetch_load.get(host, 0) - 1
-        if n <= 0:
-            self._fetch_load.pop(host, None)
-        else:
-            self._fetch_load[host] = n
-
-    def _gather_shares(
-        self, group: int, instance: int, value_id: str, seed_share, on_value
-    ) -> None:
-        """Collect coded shares of a decided value from peers until it
-        is reconstructible, then call ``on_value(value)``.
-
-        The number of shares needed comes from the *shares' own* coding
-        configuration (not the group's current one): values written
-        before a view change keep their original θ(X, N) and must be
-        gathered under it.
-
-        Only ``missing()`` of the N-1 peers must answer, so fetches go
-        to the currently-fastest peers only (instead of broadcast);
-        unusable replies and exhausted retries widen the fanout from
-        the ranked list, cycling back to the top once exhausted (a
-        chosen value's shares reappear as crashed peers recover, §3.1).
-        With ``hedge_fetches`` on, a *hedge* is additionally issued to
-        the next-fastest unqueried peer when the slowest outstanding
-        fetch overruns its adaptive RTO — gray-failure tolerance: one
-        slow-but-alive peer no longer gates the read tail — and
-        leftover fetches are cancelled the moment the value decodes.
-        """
-        node = self.groups[group]
-        shares: dict[int, object] = {}
-        if seed_share is not None:
-            shares[seed_share.index] = seed_share
-        state = {"done": False, "next": 0, "pass_timer": False}
-
-        def needed() -> int:
-            if shares:
-                return next(iter(shares.values())).config.x
-            return node.config.coding.x
-
-        def usable(reply) -> object | None:
-            if not isinstance(reply, ShareReply) or reply.share is None:
-                return None
-            if reply.share.value_id != value_id:
-                return None
-            if shares and reply.share.config != next(iter(shares.values())).config:
-                return None  # never mix shares from different codings
-            return reply.share
-
-        req = FetchShare(group=group, instance=instance, value_id=value_id)
-
-        hosts = self._peers_by_latency()
-        outstanding: dict[int, str] = {}  # req_id -> host
-        hedged: set[str] = set()
-        hedge_timer: list = [None]
-
-        def missing() -> int:
-            return max(0, needed() - len(shares))
-
-        def finish() -> None:
-            state["done"] = True
-            if hedge_timer[0] is not None:
-                hedge_timer[0].cancel()
-                hedge_timer[0] = None
-            for rid, host in outstanding.items():
-                self.endpoint.cancel_request(rid)
-                self._fetch_finished(host)
-            outstanding.clear()
-            on_value(node.decode_from_shares(list(shares.values())))
-
-        def issue(host: str, hedge: bool) -> None:
-            holder = {"rid": -1}
-            self._fetch_started(host)
-
-            def on_share(reply, host=host) -> None:
-                outstanding.pop(holder["rid"], None)
-                self._fetch_finished(host)
-                if state["done"] or not self.up:
-                    return
-                share = usable(reply)
-                if share is not None:
-                    if host in hedged:
-                        self.hedge_wins += 1
-                        self.metrics.counter("hedge.wins").inc(1)
-                    shares[share.index] = share
-                    if len(shares) >= needed():
-                        finish()
-                        return
-                ensure_fanout()
-
-            def on_timeout(host=host) -> None:
-                outstanding.pop(holder["rid"], None)
-                self._fetch_finished(host)
-                if state["done"] or not self.up:
-                    return
-                ensure_fanout()
-
-            rid = self.endpoint.request(
-                host, req, req.wire_bytes, on_reply=on_share,
-                timeout=0.5, retries=8, adaptive=True,
-                on_timeout=on_timeout,
-            )
-            holder["rid"] = rid
-            outstanding[rid] = host
-            if hedge:
-                hedged.add(host)
-                self.hedges_issued += 1
-                self.metrics.counter("hedge.issued").inc(1)
-
-        def hedge_delay() -> float:
-            # Expected completion of the *slowest* outstanding fetch:
-            # if it overruns this, a hedge is cheaper than waiting.
-            return max(
-                self.endpoint.rto(h, 0.5) for h in outstanding.values()
-            )
-
-        def arm_hedge() -> None:
-            if (
-                state["done"]
-                or hedge_timer[0] is not None
-                or not outstanding
-                or state["next"] >= len(hosts)
-            ):
-                return
-            hedge_timer[0] = self.sim.call_after(hedge_delay(), fire_hedge)
-
-        def fire_hedge() -> None:
-            hedge_timer[0] = None
-            if state["done"] or not self.up:
-                return
-            if state["next"] < len(hosts) and len(shares) < needed():
-                host = hosts[state["next"]]
-                state["next"] += 1
-                issue(host, hedge=True)
-            arm_hedge()
-
-        def next_pass() -> None:
-            state["pass_timer"] = False
-            if state["done"] or not self.up:
-                return
-            state["next"] = 0
-            hedged.clear()
-            ensure_fanout()
-
-        def ensure_fanout() -> None:
-            # Keep (at least) one fetch in flight per still-missing
-            # share; replenish from the ranked list as fetches fail.
-            if state["done"]:
-                return
-            if not outstanding and state["next"] >= len(hosts) and missing():
-                # Every ranked peer was tried and the value still is
-                # not reconstructible. Start another pass: a chosen
-                # value's shares reappear as crashed peers recover, so
-                # cycling is the read-side analogue of unbounded
-                # retransmission (§3.1 liveness) — but paced: without
-                # the pause, a value that is *never* reconstructible
-                # (all live holders below X) re-fans out every RTT.
-                if not state["pass_timer"]:
-                    state["pass_timer"] = True
-                    self.sim.call_after(0.25, next_pass)
-                return
-            while (
-                not state["done"]
-                and len(outstanding) < missing()
-                and state["next"] < len(hosts)
-            ):
-                host = hosts[state["next"]]
-                state["next"] += 1
-                issue(host, hedge=False)
-            if self.cfg.hedge_fetches:
-                arm_hedge()
-
-        if shares and len(shares) >= needed():
-            finish()
-            return
-        ensure_fanout()
+        self.fetcher.gather_value(group, instance, value_id, on_value,
+                                  seed=share)
 
     def _on_fetch_share(self, msg: FetchShare, src: str, respond) -> None:
         if not self.up:
@@ -2099,9 +1870,7 @@ class KVServer:
             # earlier) we can re-code the *requester's* fragment — one
             # share of traffic instead of X, per Rashmi et al.'s repair
             # cost argument.
-            src_id = next(
-                (nid for nid, host in self.peers.items() if host == src), None
-            )
+            src_id = self._peer_id(src)
             rec = node.chosen.get(msg.instance)
             if (
                 src_id is not None
@@ -2154,62 +1923,67 @@ class KVServer:
             self.wal.corrupt_record(rec.lsn)
             group = rec.payload[0]
             _, instance, _, share = rec.payload[1]
-            self._mark_share_corrupt(group, instance, share.value_id)
-            self.metrics.counter("scrub.rot_injected").inc(1)
-            self.tracer.emit(
-                self.sim.now, "scrub",
-                f"{self.name} bit-rot g{group} inst={instance} lsn={rec.lsn}",
-            )
-            return True
-        # Every accept record may already be compacted into the
-        # checkpoint; media decay does not care which file the bytes
-        # live in, so rot a checkpoint-resident share instead.
-        mem = [
-            (g, inst, st.accepted_share)
-            for g, node in enumerate(self.groups)
-            for inst, st in sorted(node.acceptor.state.instances.items())
-            if st.accepted_share is not None and not st.accepted_share.corrupt
-        ]
-        if not mem:
-            return False
-        group, instance, share = mem[int(rng.integers(len(mem)))]
-        self._mark_share_corrupt(group, instance, share.value_id)
+            where = f"lsn={rec.lsn}"
+        else:
+            # Every accept record may already be compacted into the
+            # checkpoint; media decay does not care which file the
+            # bytes live in, so rot a checkpoint-resident share instead.
+            mem = [
+                (g, inst, st.accepted_share)
+                for g, node in enumerate(self.groups)
+                for inst, st in sorted(node.acceptor.state.instances.items())
+                if st.accepted_share is not None
+                and not st.accepted_share.corrupt
+            ]
+            if not mem:
+                return False
+            group, instance, share = mem[int(rng.integers(len(mem)))]
+            where = "(checkpointed)"
+        self._sync_share_copies(group, instance, share.value_id)
         self.metrics.counter("scrub.rot_injected").inc(1)
         self.tracer.emit(
             self.sim.now, "scrub",
-            f"{self.name} bit-rot g{group} inst={instance} (checkpointed)",
+            f"{self.name} bit-rot g{group} inst={instance} {where}",
         )
         return True
 
-    def _mark_share_corrupt(self, group: int, instance: int, value_id: str) -> None:
-        """Flag every in-memory copy of a rotten stored share."""
+    def _sync_share_copies(self, group: int, instance: int, value_id: str,
+                           repaired: CodedShare | None = None) -> None:
+        """Bring the in-memory copies of this server's share of
+        ``value_id`` at ``instance`` — acceptor state, chosen record and
+        the store entries it backs — in line with the durable record.
+        Without ``repaired`` the record rotted: flag each clean copy
+        corrupt. With it, replace each rotten or missing copy."""
+
+        def swap(s):
+            clean = isinstance(s, CodedShare) and not s.corrupt
+            if repaired is None:
+                return s.corrupted() if clean else None
+            return None if clean else repaired
+
         node = self.groups[group]
         st = node.acceptor.state.instances.get(instance)
         if (
             st is not None
             and st.accepted_share is not None
             and st.accepted_share.value_id == value_id
-            and not st.accepted_share.corrupt
         ):
-            st.accepted_share = st.accepted_share.corrupted()
+            st.accepted_share = swap(st.accepted_share) or st.accepted_share
         rec = node.chosen.get(instance)
-        if (
-            rec is not None
-            and rec.value_id == value_id
-            and rec.share is not None
-            and not rec.share.corrupt
-        ):
-            rec.share = rec.share.corrupted()
-            for key in self._put_keys_of(rec.share.meta):
-                entry = self.store.get(key)
-                if (
-                    entry is not None
-                    and instance_of(entry.version) == instance
-                    and entry.group in (-1, group)
-                    and not entry.complete
-                    and isinstance(entry.value, CodedShare)
-                ):
-                    entry.value = rec.share
+        if rec is None or rec.value_id != value_id:
+            return
+        rec.share = swap(rec.share) or rec.share
+        for key in self._put_keys_of(self._meta_of(rec)):
+            entry = self.store.get(key)
+            if (
+                entry is not None
+                and instance_of(entry.version) == instance
+                and entry.group in (-1, group)
+                and not entry.complete
+            ):
+                new = swap(entry.value)
+                if new is not None:
+                    entry.value, entry.size = new, new.size
 
     def scrub_now(self) -> None:
         """One scrub pass: verify every durable record's checksum and
@@ -2234,7 +2008,7 @@ class KVServer:
             self.metrics.counter("scrub.corrupt_found").inc(1)
             # The in-memory mirrors must agree before repair fetches
             # start, or we might serve the rotten copy meanwhile.
-            self._mark_share_corrupt(group, instance, share.value_id)
+            self._sync_share_copies(group, instance, share.value_id)
             self._repair_share(group, rec.lsn, instance, ballot, share)
         # Shares whose WAL record was compacted away live only in memory
         # and the checkpoint; they have no LSN to rewrite but a repair
@@ -2300,133 +2074,36 @@ class KVServer:
             self._install_repaired(group, lsn, instance, ballot, fixed, 0)
             return
 
-        # Repair-optimal source selection: instead of broadcasting to
-        # every peer (N-1 fetches for an X-share decode), contact the X
-        # best-ranked sources (RTT estimate + outstanding-fetch load)
-        # and *widen* to the next-ranked peer only when a source fails
-        # us — an unusable share, a timeout, or (with hedging on) a
-        # straggler overrunning its adaptive RTO. Per-fetch latency
-        # lands in ``scrub.fetch_latency``; the whole gather (including
-        # any widening waits) lands in ``scrub.repair_latency``, which
-        # is what the readpath gate compares against the
-        # random-selection baseline — a timed-out straggler never
-        # records a fetch sample, but the repair still pays for it.
-        gathered: dict[int, CodedShare] = {}
-        hosts = self._peers_by_latency()
-        out_hosts: list[str] = []
-        state = {"done": False, "bytes": 0, "next": 0}
-        hedge_timer: list = [None]
+        # Gather clean shares from the best-ranked peers (kvstore/
+        # fetch.py); a peer that re-codes exactly our fragment ends the
+        # gather early. The whole gather lands in
+        # ``scrub.repair_latency``, which the readpath gate compares
+        # against the random-selection baseline.
         started = self.sim.now
-        req = FetchShare(
-            group=group, instance=instance, value_id=value_id, reason="scrub"
-        )
 
-        def finish(fixed: CodedShare) -> None:
-            state["done"] = True
-            if hedge_timer[0] is not None:
-                hedge_timer[0].cancel()
-                hedge_timer[0] = None
+        def repaired(shares: list[CodedShare]) -> None:
             self.metrics.histogram("scrub.repair_latency").record(
                 self.sim.now - started
             )
-            self._install_repaired(
-                group, lsn, instance, ballot, fixed, state["bytes"]
-            )
+            fixed = next((s for s in shares if s.index == my_index), None)
+            if fixed is None:
+                value = node.decode_from_shares(shares)
+                fixed = encode_one_share(value, coding, my_index, share.members)
+            self._install_repaired(group, lsn, instance, ballot, fixed,
+                                   sum(s.size for s in shares))
 
-        def on_reply(reply, host: str, sent: float) -> None:
-            out_hosts.remove(host)
-            self._fetch_finished(host)
-            if state["done"] or not self.up:
-                return
-            s = reply.share if isinstance(reply, ShareReply) else None
-            if (
-                s is None or s.corrupt or s.value_id != value_id
-                or s.config != coding
-            ):
-                widen()
-                return
-            self.metrics.histogram("scrub.fetch_latency").record(
-                self.sim.now - sent
-            )
-            state["bytes"] += s.size
-            if s.index == my_index:
-                # A peer re-coded our exact fragment: install directly.
-                finish(s)
-                return
-            gathered[s.index] = s
-            if len(gathered) >= coding.x:
-                value = node.decode_from_shares(list(gathered.values()))
-                finish(
-                    encode_one_share(value, coding, my_index, share.members)
-                )
-                return
-            widen()
-
-        def on_timeout(host: str) -> None:
-            out_hosts.remove(host)
-            self._fetch_finished(host)
-            if state["done"] or not self.up:
-                return
-            widen()
-
-        def issue_next() -> bool:
-            if state["done"] or state["next"] >= len(hosts):
-                return False
-            host = hosts[state["next"]]
-            state["next"] += 1
-            out_hosts.append(host)
-            self._fetch_started(host)
-            sent = self.sim.now
-            self.endpoint.request(
-                host, req, req.wire_bytes,
-                on_reply=lambda rep, h=host, t=sent: on_reply(rep, h, t),
-                timeout=0.5, retries=2, adaptive=True,
-                on_timeout=lambda h=host: on_timeout(h),
-            )
-            return True
-
-        def widen() -> None:
-            # A source failed us: pull in the next-ranked peer, or
-            # defer the repair once the ranked list is exhausted.
-            if not issue_next():
-                maybe_defer()
-
-        def maybe_defer() -> None:
-            if state["done"] or out_hosts:
-                return
-            # Every contacted peer answered (or timed out) and the
-            # fragment is still unrecoverable — too many rotten/missing
-            # copies right now. Leave the record corrupt; a later pass
-            # retries once peers recover or repair their own copies.
+        def defer() -> None:
+            # Every ranked peer answered (or timed out) and the fragment
+            # is still unrecoverable — too many rotten/missing copies
+            # right now. Leave the record corrupt; a later pass retries
+            # once peers recover or repair their own copies.
             self._scrubbing.discard(key)
             self.metrics.counter("scrub.deferred").inc(1)
 
-        def arm_hedge() -> None:
-            if (
-                not self.cfg.hedge_fetches
-                or state["done"]
-                or hedge_timer[0] is not None
-                or not out_hosts
-                or state["next"] >= len(hosts)
-            ):
-                return
-            delay = max(self.endpoint.rto(h, 0.5) for h in out_hosts)
-            hedge_timer[0] = self.sim.call_after(delay, fire_hedge)
-
-        def fire_hedge() -> None:
-            hedge_timer[0] = None
-            if state["done"] or not self.up:
-                return
-            if issue_next():
-                self.hedges_issued += 1
-                self.metrics.counter("hedge.issued").inc(1)
-            arm_hedge()
-
-        for _ in range(min(coding.x, len(hosts))):
-            issue_next()
-        arm_hedge()
-        if not out_hosts:
-            maybe_defer()
+        self.fetcher.gather(
+            group, instance, value_id, repaired, coding=coding,
+            target=my_index, retries=2, reason="scrub", on_fail=defer,
+        )
 
     def _install_repaired(
         self,
@@ -2445,32 +2122,11 @@ class KVServer:
         if not self.up:
             self._scrubbing.discard((group, instance))
             return
-        node = self.groups[group]
         if lsn is not None:
             self.wal.rewrite_record(
                 lsn, (group, ("accept", instance, ballot, fixed)), fixed.size,
             )
-        st = node.acceptor.state.instances.get(instance)
-        if (
-            st is not None
-            and st.accepted_share is not None
-            and st.accepted_share.value_id == fixed.value_id
-        ):
-            st.accepted_share = fixed
-        rec = node.chosen.get(instance)
-        if rec is not None and rec.value_id == fixed.value_id:
-            if rec.share is None or rec.share.corrupt:
-                rec.share = fixed
-            for key in self._put_keys_of(fixed.meta):
-                entry = self.store.get(key)
-                if (
-                    entry is not None
-                    and instance_of(entry.version) == instance
-                    and entry.group in (-1, group)
-                    and not entry.complete
-                ):
-                    entry.value = fixed
-                    entry.size = fixed.size
+        self._sync_share_copies(group, instance, fixed.value_id, fixed)
         self._scrubbing.discard((group, instance))
         self.metrics.counter("scrub.repaired").inc(1)
         self.metrics.counter("scrub.repair_bytes").inc(repair_bytes)
@@ -2728,6 +2384,12 @@ class KVServer:
                     # it will catch up through the normal §4.5 path.
                 )
 
+    def _peer_id(self, src: str) -> int | None:
+        """The node id of peer host ``src`` (None for a non-peer)."""
+        return next(
+            (nid for nid, host in self.peers.items() if host == src), None
+        )
+
     @staticmethod
     def _meta_of(rec):
         if rec.value is not None:
@@ -2768,22 +2430,24 @@ class KVServer:
             if rec is None:
                 sent_one()
                 continue
-            self._with_value(group, inst, rec, lambda ok, inst=inst, rec=rec: (
+            self._with_value(group, inst, rec, lambda inst=inst, rec=rec: (
                 self._send_install(group, member, inst, rec), sent_one()
             ))
 
-    def _with_value(self, group: int, instance: int, rec, cont) -> None:
+    def _with_value(self, group: int, instance: int, rec, cont, **gather) -> None:
         """Ensure ``rec.value`` is populated (gathering shares from
-        peers if this leader only holds a fragment), then continue."""
+        peers if this server only holds a fragment), then ``cont()``.
+        ``gather`` passes a deadline and its failure callback on."""
         if rec.value is not None:
-            cont(True)
+            cont()
             return
 
         def on_value(value) -> None:
             rec.value = value
-            cont(True)
+            cont()
 
-        self._gather_shares(group, instance, rec.value_id, rec.share, on_value)
+        self.fetcher.gather_value(group, instance, rec.value_id, on_value,
+                                  seed=rec.share, **gather)
 
     def _send_install(self, group: int, member: int, instance: int, rec) -> None:
         node = self.groups[group]
@@ -2876,6 +2540,21 @@ class KVServer:
         reply = PlacementGaps(group=msg.group, missing=missing)
         respond(reply, reply.wire_bytes)
 
+    @staticmethod
+    def _hold_share(node: PaxosNode, instance: int, share: CodedShare) -> None:
+        """Durably hold a fragment like an accepted share (§4.5), so
+        this node counts toward decodability again — unless the
+        acceptor already holds a share for ``instance``."""
+        st = node.acceptor.state.instances.get(instance)
+        if st is not None and st.accepted_share is not None:
+            return
+        ballot = node.acceptor.state.floor
+        node.acceptor.state.instances[instance] = AcceptorInstance(
+            promised=ballot, accepted_ballot=ballot, accepted_share=share,
+        )
+        node.wal.append(("accept", instance, ballot, share), share.size,
+                        lambda: None)
+
     def _on_install_share(self, msg: InstallShare, src: str) -> None:
         if not self.up:
             return
@@ -2883,20 +2562,7 @@ class KVServer:
         rec = node.chosen.get(msg.instance)
         if rec is not None and rec.value_id == msg.value_id and rec.share is None:
             rec.share = msg.share
-        # Make the fragment durable like any accepted share (§4.5).
-        st = node.acceptor.state.instances.get(msg.instance)
-        if st is None or st.accepted_share is None:
-            from ..core.acceptor import AcceptorInstance
-
-            ballot = node.acceptor.state.floor
-            node.acceptor.state.instances[msg.instance] = AcceptorInstance(
-                promised=ballot, accepted_ballot=ballot,
-                accepted_share=msg.share,
-            )
-            node.wal.append(
-                ("accept", msg.instance, ballot, msg.share),
-                msg.share.size, lambda: None,
-            )
+        self._hold_share(node, msg.instance, msg.share)
         # Reflect it in the local store too.
         if isinstance(msg.meta, Command) and msg.meta.op == "put":
             self.store.put(
@@ -2945,7 +2611,7 @@ class KVServer:
         therefore still reaches the whole cluster eventually (liveness
         unchanged), but a healthy steady state ships ~2 streams' worth
         of ``rebuild_bytes``, sourced from the closest peers."""
-        hosts = self._peers_by_latency()
+        hosts = self.fetcher.ranked_peers()
         state = {"next": 0}
 
         def issue_one() -> None:
@@ -2953,14 +2619,14 @@ class KVServer:
                 return
             host = hosts[state["next"]]
             state["next"] += 1
-            self._fetch_started(host)
+            self.fetcher.started(host)
 
             def ok(rep, h=host) -> None:
-                self._fetch_finished(h)
+                self.fetcher.finished(h)
                 self._install_catch_up(rep, h)
 
             def widen(h=host) -> None:
-                self._fetch_finished(h)
+                self.fetcher.finished(h)
                 issue_one()
 
             self.endpoint.request(
@@ -3045,12 +2711,7 @@ class KVServer:
             return
         if reply.next_from is not None:
             # The peer hit its reply budget; pull the next page.
-            req = CatchUp(group=reply.group, from_instance=reply.next_from)
-            self.endpoint.request(
-                host, req, req.wire_bytes,
-                on_reply=lambda rep, h=host: self._install_catch_up(rep, h),
-                timeout=1.0, retries=3, adaptive=True, on_timeout=lambda: None,
-            )
+            self._pull_catch_up(host, reply.group, reply.next_from)
         elif (
             reply.group in self._rebuild_pending
             and reply.group not in self._snap_inflight
@@ -3060,14 +2721,20 @@ class KVServer:
             # further to pull: this group's rebuild is done.
             self._group_rebuilt(reply.group)
 
+    def _pull_catch_up(self, host: str, group: int, from_instance: int) -> None:
+        req = CatchUp(group=group, from_instance=from_instance)
+        self.endpoint.request(
+            host, req, req.wire_bytes,
+            on_reply=lambda rep: self._install_catch_up(rep, host),
+            timeout=1.0, retries=3, adaptive=True, on_timeout=lambda: None,
+        )
+
     def _on_catch_up(self, msg: CatchUp, src: str, respond) -> None:
         if not self.up:
             return
         node = self.groups[msg.group]
         floor = self.compact_floor[msg.group]
-        src_id = next(
-            (nid for nid, host in self.peers.items() if host == src), None
-        )
+        src_id = self._peer_id(src)
         entries = []
         reply_bytes = 0
         next_from: int | None = None
@@ -3090,11 +2757,7 @@ class KVServer:
                 share = node.recode_share_for(inst, src_id)
                 if share is None:
                     share = rec.share
-            meta = None
-            if rec.value is not None:
-                meta = rec.value.meta
-            elif rec.share is not None:
-                meta = rec.share.meta
+            meta = self._meta_of(rec)
             size = rec.value.size if rec.value is not None else (
                 rec.share.value_size if rec.share is not None else 0
             )
@@ -3189,21 +2852,8 @@ class KVServer:
                 value_id=e.value_id, ballot=ballot, value=None, share=e.share,
             )
             node.install_chosen(inst, rec)
-            # Durably hold the fragment like an accepted share (§4.5),
-            # so this node counts toward decodability again.
             if e.share is not None:
-                st = node.acceptor.state.instances.get(inst)
-                if st is None or st.accepted_share is None:
-                    from ..core.acceptor import AcceptorInstance
-
-                    node.acceptor.state.instances[inst] = AcceptorInstance(
-                        promised=ballot, accepted_ballot=ballot,
-                        accepted_share=e.share,
-                    )
-                    node.wal.append(
-                        ("accept", inst, ballot, e.share),
-                        e.share.size, lambda: None,
-                    )
+                self._hold_share(node, inst, e.share)
         if reply.next_cursor is not None:
             self._fetch_snapshot_page(group, host, reply.next_cursor)
             return
@@ -3246,12 +2896,7 @@ class KVServer:
             f"{self.name} snapshot installed g{group} (floor={reply.floor})",
         )
         # Entry-granularity catch-up for the tail above the snapshot.
-        req = CatchUp(group=group, from_instance=node.apply_cursor)
-        self.endpoint.request(
-            host, req, req.wire_bytes,
-            on_reply=lambda rep, h=host: self._install_catch_up(rep, h),
-            timeout=1.0, retries=3, adaptive=True, on_timeout=lambda: None,
-        )
+        self._pull_catch_up(host, group, node.apply_cursor)
 
     def _group_rebuilt(self, group: int) -> None:
         if group not in self._rebuild_pending:
@@ -3285,9 +2930,7 @@ class KVServer:
             return
         group = msg.group
         node = self.groups[group]
-        src_id = next(
-            (nid for nid, host in self.peers.items() if host == src), None
-        )
+        src_id = self._peer_id(src)
         keys = [
             k for k in self.store.keys()
             if self._entry_group_of(k) == group and k > msg.cursor
@@ -3412,12 +3055,8 @@ class KVServer:
                 # Requester outside the stamped membership (value coded
                 # before it joined): hand over our own clean fragment —
                 # any X distinct clean shares decode.
-                fallback = (
-                    own_share
-                    if own_share is not None and not own_share.corrupt
-                    else None
-                )
-                cont(fallback, meta, value_id, value.size)
+                clean = own_share is not None and not own_share.corrupt
+                cont(own_share if clean else None, meta, value_id, value.size)
                 return
             index = members.index(src_id)
             cont(
@@ -3441,31 +3080,18 @@ class KVServer:
             cont(own_share, meta, value_id, own_share.value_size)
             return
         # Only a fragment here: decode-and-re-encode via peer gather,
-        # with a watchdog so one unreconstructible value cannot stall
+        # with a deadline so one unreconstructible value cannot stall
         # the whole page forever.
-        state = {"fired": False}
-
         def on_value(value) -> None:
-            if state["fired"]:
-                return
-            state["fired"] = True
             if rec is not None and rec.value is None:
                 rec.value = value
             encode_for(value)
 
-        def give_up() -> None:
-            if state["fired"]:
-                return
-            state["fired"] = True
-            cont(None, meta, value_id, 0)
-
-        self.sim.call_after(3.0, give_up)
-        seed = (
-            own_share
-            if own_share is not None and not own_share.corrupt
-            else None
+        self.fetcher.gather_value(
+            group, instance, value_id, on_value, seed=own_share,
+            deadline=GATHER_DEADLINE,
+            on_fail=lambda: cont(None, meta, value_id, 0),
         )
-        self._gather_shares(group, instance, value_id, seed, on_value)
 
     # ------------------------------------------------------------------
     # reconfigure-add: re-admit a rebuilt node (§4.6 inverse of remove)
@@ -3802,36 +3428,29 @@ class KVServer:
             return
         node = self.groups[group]
         inst = instance_of(entry.version)
-        fired = {"done": False}
 
-        def once(value) -> None:
-            if fired["done"]:
-                return
-            fired["done"] = True
-            if value is None:
-                cont(None, None)
-            elif self._is_batch(value.meta):
+        def with_value(value) -> None:
+            if self._is_batch(value.meta):
                 data, size = self._payload_for_key(value, key)
                 cont(size, data)
             else:
                 cont(value.size, value.data)
 
-        # Watchdog: one unreconstructible value must not wedge the
-        # whole migration; the retry pass picks it up.
-        self.sim.call_after(3.0, lambda: once(None))
+        # The deadline keeps one unreconstructible value from wedging
+        # the whole migration; the retry pass picks it up.
+        gather = {"deadline": GATHER_DEADLINE,
+                  "on_fail": lambda: cont(None, None)}
         rec = node.chosen.get(inst)
         if rec is not None:
-            if rec.value is not None:
-                once(rec.value)
-            else:
-                self._with_value(group, inst, rec,
-                                 lambda ok: once(rec.value))
+            self._with_value(group, inst, rec, lambda: with_value(rec.value),
+                             **gather)
             return
         share = node.acceptor.accepted_share(inst)
         if share is None or share.corrupt:
-            once(None)
+            cont(None, None)
             return
-        self._gather_shares(group, inst, share.value_id, share, once)
+        self.fetcher.gather_value(group, inst, share.value_id, with_value,
+                                  seed=share, **gather)
 
     def _propose_shard_cmd(self, new_map: ShardMap) -> bool:
         """Replicate a successor map through the config group."""

@@ -45,6 +45,20 @@ class TestCli:
             "selfheal", "shards",
         }
 
+    @pytest.mark.parametrize("rc, expected", [(None, 0), (0, 0), (1, 1)])
+    def test_exit_status_follows_the_experiment(self, monkeypatch, rc,
+                                                expected):
+        # A figure returns None, a gate 0 or 1; a failing gate must
+        # fail the CLI.
+        _desc, module = EXPERIMENTS["readpath"]
+        calls = []
+        monkeypatch.setattr(
+            module, "main", lambda quick: calls.append(quick) or rc
+        )
+        assert main(["readpath"]) == expected
+        assert main(["readpath", "--full"]) == expected
+        assert calls == [True, False]
+
     def test_chaos_gate(self, capsys):
         assert main(["chaos", "--seeds", "1", "--short"]) == 0
         out = capsys.readouterr().out

@@ -113,7 +113,7 @@ class TestSourceSelection:
         c = make()
         put(c, "k", 100)
         srv = c.servers[1]
-        order = srv._peers_by_latency()
+        order = srv.fetcher.ranked_peers()
         assert sorted(order) == sorted(
             h for nid, h in srv.peers.items() if nid != srv.node_id)
 
@@ -124,7 +124,7 @@ class TestSourceSelection:
         sampled = set(srv.endpoint.rtt_table())
         if not sampled:
             return  # nothing to rank yet on this topology
-        order = srv._peers_by_latency()
+        order = srv.fetcher.ranked_peers()
         ranks = [h in sampled for h in order]
         assert ranks == sorted(ranks, reverse=True)
 
@@ -132,7 +132,7 @@ class TestSourceSelection:
         c = make(rtt_select=False)
         put(c, "k", 100)
         srv = c.servers[1]
-        order = srv._peers_by_latency()
+        order = srv.fetcher.ranked_peers()
         assert sorted(order) == sorted(
             h for nid, h in srv.peers.items() if nid != srv.node_id)
 
@@ -146,7 +146,7 @@ class TestSourceSelection:
         ok, _size = get(c, "k", server=follower.name)
         assert ok
         c.run(until=c.sim.now + 2.0)
-        assert follower._fetch_load == {}
+        assert follower.fetcher.load == {}
 
 
 class TestObservability:
