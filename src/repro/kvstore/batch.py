@@ -166,6 +166,41 @@ def decode_frame(buf: bytes) -> tuple[FramedCommand, ...]:
     return tuple(commands)
 
 
+def items_of(meta, size: int = 0) -> tuple[BatchItem, ...]:
+    """The commands a decided value applies, in apply order.
+
+    A batch yields its items; a plain put, delete or read marker — and
+    a migration ``copy``, as the put or delete it re-proposes — is a
+    batch of one whose item is ``size`` bytes (the value's size). Any
+    other decision (no-op, view, shard, fence) yields ``()``."""
+    op = getattr(meta, "op", None)
+    if op == "batch":
+        return meta.arg.items if isinstance(meta.arg, BatchMeta) else ()
+    if op == "copy":
+        op = "delete" if meta.arg == "tombstone" else "put"
+    if op in ("put", "delete", "read"):
+        return (BatchItem(op, meta.key, size, meta.client, meta.op_id),)
+    return ()
+
+
+def payloads_of(meta, data, count: int) -> list:
+    """Per-item payloads of a full value whose metadata is ``meta``: a
+    plain value's data is its one item's payload; a batch's comes from
+    decoding the frame. All-None in modeled mode (``data is None``) and
+    when the frame fails validation or disagrees with its ``count``
+    items, so a damaged batch is never partly applied."""
+    if getattr(meta, "op", None) != "batch":
+        return [data] * count
+    if data is not None:
+        try:
+            cmds = decode_frame(data)
+        except FrameError:
+            cmds = ()
+        if len(cmds) == count:
+            return [c.data for c in cmds]
+    return [None] * count
+
+
 def frame_size(items: Iterable[BatchItem]) -> int:
     """Exact frame byte size for modeled-mode values (``data=None``):
     what :func:`encode_frame` would produce for these commands."""

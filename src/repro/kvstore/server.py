@@ -25,8 +25,10 @@ from ..core import (
     NULL_BALLOT,
     PaxosNode,
     Value,
+    classic_paxos,
     encode_one_share,
     fresh_value_id,
+    rs_paxos,
 )
 from ..core.acceptor import AcceptorInstance
 from ..net import Network
@@ -43,11 +45,11 @@ from ..storage import (
 from .batch import (
     BatchItem,
     BatchMeta,
-    FrameError,
     FramedCommand,
-    decode_frame,
     encode_frame,
     frame_size,
+    items_of,
+    payloads_of,
 )
 from .messages import (
     KV_META,
@@ -104,7 +106,8 @@ GATHER_DEADLINE = 3.0
 
 
 class _BatchEntry:
-    """One admitted command parked in a leader's pending batch."""
+    """One admitted client command on its way to a proposal: alone, or
+    parked in a leader's pending batch."""
 
     __slots__ = ("op", "key", "size", "data", "client", "op_id",
                  "finish", "respond")
@@ -388,9 +391,9 @@ class KVServer:
         )
 
         # Client-facing handlers.
-        self.endpoint.on_request_async(ClientPut, self._on_put)
+        self.endpoint.on_request_async(ClientPut, self._on_write)
         self.endpoint.on_request_async(ClientGet, self._on_get)
-        self.endpoint.on_request_async(ClientDelete, self._on_delete)
+        self.endpoint.on_request_async(ClientDelete, self._on_write)
         # Server-server.
         self.endpoint.on(Heartbeat, self._on_heartbeat)
         self.endpoint.on(HeartbeatAck, self._on_heartbeat_ack)
@@ -941,171 +944,87 @@ class KVServer:
         meta = self._meta_of(rec)
         if not isinstance(meta, Command):
             return  # no-op filler or unknown decision: nothing to apply
-        if meta.op == "batch":
-            self._apply_batch(group, instance, rec, meta.arg)
-            return
-        if meta.op in ("put", "delete") and meta.client:
-            # Exactly-once apply: client retries and duplicated requests
-            # can commit the same operation in two instances; only the
-            # first (in log order, identical on every replica) mutates
-            # the store.
-            ident = (group, meta.client, meta.op_id)
-            if ident in self._applied_ops:
-                return
-            self._applied_ops.add(ident)
-            self._applied_ids.add((meta.client, meta.op_id))
-        # The store version encodes the shard-map era the *proposer*
-        # stamped into the command — deterministic across replicas
-        # (it rides inside the replicated value, never read from local
-        # map state). Static mode always stamps 0, so version ==
-        # instance exactly as before.
-        version = encode_version(meta.mapv, instance)
-        if meta.op in ("put", "copy"):
-            if meta.op == "copy":
-                # Migration copy: mutates the store only while the
-                # existing entry still predates this migration's era.
-                # The condition depends only on earlier entries of this
-                # same log, so every replica decides it identically,
-                # and a re-copy after a leader failover is a no-op for
-                # keys a newer-era write (or earlier copy) already
-                # reached.
-                existing = self.store.get_entry(meta.key)
-                if existing is not None and (
-                    era_of(existing.version) >= meta.mapv
-                ):
-                    return
-                if meta.arg == "tombstone":
-                    self.store.delete(meta.key, version, group=group)
-                    return
-            if rec.value is not None:
-                # Full value available (leader, or decoded earlier).
-                self.store.put(
-                    meta.key, rec.value.data, rec.value.size, version,
-                    complete=True, group=group,
-                )
-            elif rec.share is not None and rec.share.config.x == 1:
-                # Classic Paxos (θ(1, N)): the "share" is the full
-                # value — followers hold complete copies.
-                self.store.put(
-                    meta.key, rec.share.data, rec.share.value_size,
-                    version, complete=True, group=group,
-                )
-            elif rec.share is not None:
-                # Follower path: only the coded share is stored,
-                # tagged incomplete (§4.4).
-                self.store.put(
-                    meta.key, rec.share, rec.share.size, version,
-                    complete=False, group=group,
-                )
-            else:
-                # Chosen but no local payload at all (missed accept):
-                # record an empty incomplete entry for catch-up.
-                self.store.put(meta.key, None, 0, version,
-                               complete=False, group=group)
-        elif meta.op == "delete":
-            self.store.delete(meta.key, version, group=group)
-        elif meta.op == "view":
+        if meta.op == "view":
             self._apply_view_cmd(group, meta.arg)
-        elif meta.op == "shard":
+            return
+        if meta.op == "shard":
             self._apply_shard_cmd(group, meta.arg)
-        # op == "read"/"fence": consistency/cutover marker, no state
-        # change (the fence only occupies a src-group log slot so the
-        # old owner's log frontier covers the cutover window).
-
-    def _apply_batch(self, group: int, instance: int, rec: ChosenRecord,
-                     bmeta) -> None:
-        """Apply one batched instance: every command in frame order,
-        atomically at this log position (identical order on every
-        replica). Per-command dedup mirrors the single-command path;
-        same-key commands later in the frame win because LocalStore
-        overwrites at equal version."""
-        items = bmeta.items if isinstance(bmeta, BatchMeta) else ()
-        have_full, datas = self._batch_payloads(rec, items)
-        meta = rec.value.meta if rec.value is not None else rec.share.meta
+            return
+        if meta.op == "copy":
+            # Migration copy: mutates the store only while the existing
+            # entry still predates this migration's era. The condition
+            # depends only on earlier entries of this same log, so every
+            # replica decides it identically, and a re-copy after a
+            # leader failover is a no-op for keys a newer-era write (or
+            # earlier copy) already reached.
+            existing = self.store.get_entry(meta.key)
+            if existing is not None and era_of(existing.version) >= meta.mapv:
+                return
+        # The store version encodes the shard-map era the *proposer*
+        # stamped into the command — deterministic across replicas (it
+        # rides inside the replicated value, never read from local map
+        # state). Static mode always stamps 0, so version == instance.
         version = encode_version(meta.mapv, instance)
+        share = rec.share
+        if rec.value is not None:
+            # Full value available (leader, or decoded earlier).
+            full = (rec.value.data, rec.value.size)
+        elif share is not None and share.config.x == 1 and not share.corrupt:
+            # Classic Paxos (θ(1, N)): the "share" is the full value.
+            full = (share.data, share.value_size)
+        else:
+            full = None
+        items = items_of(meta, full[1] if full is not None else 0)
+        if full is not None:
+            datas = payloads_of(meta, full[0], len(items))
+        # Every command in apply order (a plain command is a batch of
+        # one), atomically at this log position; same-key commands later
+        # in a frame win because LocalStore overwrites at equal version.
         for idx, item in enumerate(items):
-            if item.op in ("put", "delete") and item.client:
+            if item.client:
+                # Exactly-once apply: client retries and duplicated
+                # requests can commit the same operation in two
+                # instances; only the first (in log order, identical on
+                # every replica) mutates the store.
                 ident = (group, item.client, item.op_id)
                 if ident in self._applied_ops:
                     continue
                 self._applied_ops.add(ident)
                 self._applied_ids.add((item.client, item.op_id))
             if item.op == "put":
-                if have_full:
-                    self.store.put(
-                        item.key, datas[idx], item.size, version,
-                        complete=True, group=group,
-                    )
-                elif rec.share is not None:
-                    # Follower: the whole batch's coded share stands in
-                    # for each key it wrote; a recovery read decodes the
-                    # batch and extracts the key's payload.
-                    self.store.put(
-                        item.key, rec.share, rec.share.size, version,
-                        complete=False, group=group,
-                    )
+                if full is not None:
+                    self.store.put(item.key, datas[idx], item.size, version,
+                                   complete=True, group=group)
+                elif share is not None:
+                    # Follower path: only the coded share is stored,
+                    # tagged incomplete (§4.4); for a batch it stands in
+                    # for each key the batch wrote.
+                    self.store.put(item.key, share, share.size, version,
+                                   complete=False, group=group)
                 else:
+                    # Chosen but no local payload at all (missed
+                    # accept): an empty incomplete entry for catch-up.
                     self.store.put(item.key, None, 0, version,
                                    complete=False, group=group)
             elif item.op == "delete":
                 self.store.delete(item.key, version, group=group)
-            # "read": consistency marker, no state change.
-
-    def _batch_payloads(self, rec: ChosenRecord, items):
-        """(have_full, per-item payloads) for a batched record.
-
-        have_full is True when this replica can materialize complete
-        entries: it holds the whole value (leader / decoded earlier) or
-        a classic θ(1, N) "share" that *is* the frame. The payload list
-        is all-None in modeled mode or if the frame fails validation —
-        CRC damage never applies a partial batch."""
-        raw = None
-        if rec.value is not None:
-            raw = rec.value.data
-        elif rec.share is not None and rec.share.config.x == 1:
-            if rec.share.corrupt:
-                return False, None
-            raw = rec.share.data
-        else:
-            return False, None
-        if raw is None:
-            return True, [None] * len(items)  # modeled: sizes only
-        try:
-            cmds = decode_frame(raw)
-        except FrameError:
-            return True, [None] * len(items)
-        if len(cmds) != len(items):
-            return True, [None] * len(items)
-        return True, [c.data for c in cmds]
-
-    @staticmethod
-    def _is_batch(meta) -> bool:
-        return isinstance(meta, Command) and meta.op == "batch"
+            # "read"/"fence": consistency/cutover marker, no state change
+            # (the fence only occupies a src-group log slot so the old
+            # owner's log frontier covers the cutover window).
 
     @staticmethod
     def _payload_for_key(value: Value, key: str):
         """(data, size) that ``key`` holds after ``value`` applies: the
         value itself for a plain put; for a batch, the last framed write
         to the key (frame order is apply order)."""
-        meta = value.meta
-        if not (isinstance(meta, Command) and meta.op == "batch"):
-            return value.data, value.size
-        items = meta.arg.items if isinstance(meta.arg, BatchMeta) else ()
-        datas = None
-        if value.data is not None:
-            try:
-                cmds = decode_frame(value.data)
-                if len(cmds) == len(items):
-                    datas = [c.data for c in cmds]
-            except FrameError:
-                datas = None
+        items = items_of(value.meta, value.size)
+        datas = payloads_of(value.meta, value.data, len(items))
         data, size = None, 0
-        for idx, item in enumerate(items):
+        for item, payload in zip(items, datas):
             if item.key != key:
                 continue
             if item.op == "put":
-                data = datas[idx] if datas is not None else None
-                size = item.size
+                data, size = payload, item.size
             elif item.op == "delete":
                 data, size = None, 0
         return data, size
@@ -1235,7 +1154,7 @@ class KVServer:
         state = {"released": False}
         # The EWMA estimates *per-command* service time. A batched
         # command's admit->reply span covers the whole batch's instance,
-        # so _close_batch sets this divisor to the batch size — without
+        # so _propose sets this divisor to the batch size — without
         # it, shed clients would back off ~batch-size× too long.
         divisor = [1]
 
@@ -1369,13 +1288,19 @@ class KVServer:
         for entries in pending.values():
             self._fail_batch(entries)
 
-    # -- leader-side command batching ----------------------------------
+    # -- the one proposal path (plain or batched) ----------------------
 
-    def _enqueue_batched(self, group: int, entry: _BatchEntry) -> None:
-        """Park an admitted command in ``group``'s pending batch; close
-        the batch when full (count or framed bytes), else (re)arm the
-        linger timer. linger=0 still coalesces commands arriving at the
-        same sim instant: the close runs as a zero-delay event."""
+    def _submit(self, group: int, entry: _BatchEntry) -> None:
+        """Hand one admitted client command to ``group``'s proposer.
+
+        Unbatched, it is proposed on its own. Batched, it parks in the
+        group's pending batch, which closes when full (count or framed
+        bytes), else (re)arms the linger timer. linger=0 still coalesces
+        commands arriving at the same sim instant: the close runs as a
+        zero-delay event."""
+        if self.cfg.batch_max_commands <= 1:
+            self._propose(group, [entry])
+            return
         pending = self._pending_batch.setdefault(group, [])
         pending.append(entry)
         if (
@@ -1396,17 +1321,21 @@ class KVServer:
         )
 
     def _close_batch(self, group: int) -> None:
-        """Seal ``group``'s pending batch into one Paxos value and
-        propose it. Every parked command is released together: all of
-        them on decide+apply (each with its own reply), or none (the
-        whole batch fails NotReady if leadership is already gone)."""
+        """Seal ``group``'s pending batch and propose it."""
         timer = self._batch_timers.pop(group, None)
         if timer is not None:
             timer.cancel()
         entries = self._pending_batch.pop(group, None)
-        if not entries or not self.up:
-            return
-        node = self.groups[group]
+        if entries and self.up:
+            self._propose(group, entries)
+
+    def _propose(self, group: int, entries: list) -> None:
+        """Propose client commands as ONE Paxos value in ``group``.
+
+        Every command is released together: all of them on
+        decide+apply (each with its own reply), or none (NotReady) when
+        this server is no longer the leader, a view change is draining
+        the pipeline, or the group refuses the proposal."""
         if not self.is_leader_server or self._view_changing:
             self._fail_batch(entries)
             return
@@ -1418,27 +1347,23 @@ class KVServer:
             holder = getattr(e.respond, "svc_divisor", None)
             if holder is not None:
                 holder[0] = n
-        items = tuple(
-            BatchItem(e.op, e.key, e.size, e.client, e.op_id)
-            for e in entries
-        )
-        # Concrete mode iff every put carries real bytes; otherwise the
-        # frame is modeled by exact size only (dual-mode values).
-        concrete = all(e.data is not None for e in entries if e.op == "put")
-        if concrete:
-            payload = encode_frame(tuple(
-                FramedCommand(e.op, e.key, e.data or b"", e.client, e.op_id)
-                for e in entries
-            ))
-            size = len(payload)
+        if self.cfg.batch_max_commands <= 1:
+            # Unbatched: the command itself is the value — the
+            # unbatched wire and WAL format, kept byte-for-byte (a read
+            # marker carries no era).
+            e = entries[0]
+            value = Value(
+                fresh_value_id(self.node_id), e.size, e.data,
+                meta=Command(
+                    e.op, e.key, client=e.client, op_id=e.op_id,
+                    mapv=self.shard_map.version if e.op != "read" else 0,
+                ),
+            )
         else:
-            payload = None
-            size = frame_size(items)
-        value = Value(
-            fresh_value_id(self.node_id), size, payload,
-            meta=Command("batch", "", arg=BatchMeta(items),
-                         mapv=self.shard_map.version),
-        )
+            value = self._frame(entries)
+            self.batches_proposed += 1
+            self.metrics.histogram("batch.commands").record(n)
+            self.metrics.histogram("batch.bytes").record(value.size)
 
         def decided(instance: int, v: Value) -> None:
             if not self.up:
@@ -1450,14 +1375,37 @@ class KVServer:
 
             self._respond_after_apply(group, instance, release_all)
 
-        self.batches_proposed += 1
-        self.metrics.histogram("batch.commands").record(n)
-        self.metrics.histogram("batch.bytes").record(size)
         try:
-            node.propose(value, decided)
+            self.groups[group].propose(value, decided)
             self.metrics.counter("rs.encode_calls").inc(1)
         except RuntimeError:
             self._fail_batch(entries)
+            return
+        for e in entries:
+            if e.op != "read":
+                self._maybe_fence_write(e.key, group)
+
+    def _frame(self, entries: list) -> Value:
+        """One batch value: concrete frame bytes iff every put carries
+        real bytes, otherwise modeled by exact frame size only."""
+        items = tuple(
+            BatchItem(e.op, e.key, e.size, e.client, e.op_id)
+            for e in entries
+        )
+        if all(e.data is not None for e in entries if e.op == "put"):
+            payload = encode_frame(tuple(
+                FramedCommand(e.op, e.key, e.data or b"", e.client, e.op_id)
+                for e in entries
+            ))
+            size = len(payload)
+        else:
+            payload = None
+            size = frame_size(items)
+        return Value(
+            fresh_value_id(self.node_id), size, payload,
+            meta=Command("batch", "", arg=BatchMeta(items),
+                         mapv=self.shard_map.version),
+        )
 
     def _fail_batch(self, entries: list) -> None:
         for e in entries:
@@ -1466,7 +1414,9 @@ class KVServer:
 
     # -- client write/read handlers ------------------------------------
 
-    def _on_put(self, msg: ClientPut, src: str, respond) -> None:
+    def _on_write(self, msg: ClientPut | ClientDelete, src: str,
+                  respond) -> None:
+        """Put or delete; a delete is a write of NULL (§4.4)."""
         if not self._leader_guard(respond):
             return
         if not self._shard_write_ok(msg, respond):
@@ -1485,10 +1435,10 @@ class KVServer:
             reply = PutOk(msg.key, map_version=self.shard_map.version)
             respond(reply, reply.wire_bytes)
             return
-        self._admit(respond, lambda r: self._put_admitted(msg, r),
+        self._admit(respond, lambda r: self._write_admitted(msg, r),
                     tenant=msg.tenant)
 
-    def _put_admitted(self, msg: ClientPut, respond) -> None:
+    def _write_admitted(self, msg: ClientPut | ClientDelete, respond) -> None:
         group = self.shard_map.group_of(msg.key)
         if self._already_applied(group, msg.client, msg.op_id):
             # Committed while this retry sat in the admission queue.
@@ -1497,115 +1447,26 @@ class KVServer:
             return
         start = self.sim.now
         self._account_write(group, msg.key)
+        if not self._group_slot_ok(group, msg.tenant, respond):
+            return
+        put = isinstance(msg, ClientPut)
 
         def reply_now() -> None:
             if not self.up:
                 return
-            self.metrics.latency("write").record(self.sim.now - start)
-            self.metrics.throughput("write").record(self.sim.now, msg.size)
+            if put:
+                self.metrics.latency("write").record(self.sim.now - start)
+                self.metrics.throughput("write").record(self.sim.now, msg.size)
             reply = PutOk(msg.key, map_version=self.shard_map.version)
             respond(reply, reply.wire_bytes)
 
-        if self.cfg.batch_max_commands > 1:
-            self._enqueue_batched(group, _BatchEntry(
-                "put", msg.key, msg.size, msg.data, msg.client, msg.op_id,
-                reply_now, respond,
-            ))
-            return
-        node = self.groups[group]
-        if not self._group_slot_ok(group, msg.tenant, respond):
-            return
-        value = Value(
-            fresh_value_id(self.node_id), msg.size, msg.data,
-            meta=Command("put", msg.key, client=msg.client, op_id=msg.op_id,
-                         mapv=self.shard_map.version),
-        )
-
-        def decided(instance: int, v: Value) -> None:
-            if not self.up:
-                return
-            self._respond_after_apply(group, instance, reply_now)
-
-        try:
-            node.propose(value, decided)
-            self.metrics.counter("rs.encode_calls").inc(1)
-        except RuntimeError:
-            r = NotReady()
-            respond(r, r.wire_bytes)
-            return
-        self._maybe_fence_write(msg.key, group)
-
-    def _on_delete(self, msg: ClientDelete, src: str, respond) -> None:
-        if not self._leader_guard(respond):
-            return
-        if not self._shard_write_ok(msg, respond):
-            return
-        group = self.shard_map.group_of(msg.key)
-        if self._already_applied(group, msg.client, msg.op_id) or (
-            self.cfg.dynamic_shards
-            and bool(msg.client)
-            and (msg.client, msg.op_id) in self._applied_ids
-        ):
-            reply = PutOk(msg.key, map_version=self.shard_map.version)
-            respond(reply, reply.wire_bytes)
-            return
-        self._admit(respond, lambda r: self._delete_admitted(msg, r),
-                    tenant=msg.tenant)
-
-    def _delete_admitted(self, msg: ClientDelete, respond) -> None:
-        group = self.shard_map.group_of(msg.key)
-        if self._already_applied(group, msg.client, msg.op_id):
-            reply = PutOk(msg.key, map_version=self.shard_map.version)
-            respond(reply, reply.wire_bytes)
-            return
-        self._account_write(group, msg.key)
-
-        def reply_now() -> None:
-            if self.up:
-                reply = PutOk(msg.key, map_version=self.shard_map.version)
-                respond(reply, reply.wire_bytes)
-
-        if self.cfg.batch_max_commands > 1:
-            self._enqueue_batched(group, _BatchEntry(
-                "delete", msg.key, 0, None, msg.client, msg.op_id,
-                reply_now, respond,
-            ))
-            return
-        node = self.groups[group]
-        if not self._group_slot_ok(group, msg.tenant, respond):
-            return
-        value = Value(
-            fresh_value_id(self.node_id), 0, None,
-            meta=Command("delete", msg.key, client=msg.client,
-                         op_id=msg.op_id, mapv=self.shard_map.version),
-        )
-
-        def decided(instance: int, v: Value) -> None:
-            if not self.up:
-                return
-            self._respond_after_apply(group, instance, reply_now)
-
-        try:
-            node.propose(value, decided)
-            self.metrics.counter("rs.encode_calls").inc(1)
-        except RuntimeError:
-            r = NotReady()
-            respond(r, r.wire_bytes)
-            return
-        self._maybe_fence_write(msg.key, group)
+        op, size, data = ("put", msg.size, msg.data) if put else ("delete", 0, None)
+        self._submit(group, _BatchEntry(
+            op, msg.key, size, data, msg.client, msg.op_id, reply_now, respond,
+        ))
 
     def _on_get(self, msg: ClientGet, src: str, respond) -> None:
-        if self.up and self.cfg.dynamic_shards and (
-            msg.map_version > self.shard_map.version
-        ):
-            # The client has seen a newer shard map than this replica
-            # has applied: our routing (read-index group, ownership) may
-            # be stale. Refuse rather than serve under the old map; the
-            # client rotates while we catch up on the config log.
-            self.wrong_shard_replies += 1
-            self.metrics.counter("shard.wrong_shard").inc(1)
-            r = WrongShard(msg.key, map_version=self.shard_map.version)
-            respond(r, r.wire_bytes)
+        if self.up and self._stale_map(msg, respond):
             return
         if msg.mode == "snapshot":
             # Snapshot read (§4.4): served by ANY replica from its local
@@ -1761,33 +1622,13 @@ class KVServer:
         respond(r, r.wire_bytes)
 
     def _consistent_get_admitted(self, msg: ClientGet, start: float, respond) -> None:
-        group = self.shard_map.group_of(msg.key)
-
         def serve() -> None:
             if self.up:
                 self._serve_read(msg.key, start, respond)
 
-        if self.cfg.batch_max_commands > 1:
-            self._enqueue_batched(group, _BatchEntry(
-                "read", msg.key, 0, None, "", 0, serve, respond,
-            ))
-            return
-        node = self.groups[group]
-        marker = Value(
-            fresh_value_id(self.node_id), 0, None,
-            meta=Command("read", msg.key),
-        )
-
-        def decided(instance: int, v: Value) -> None:
-            if self.up:
-                self._respond_after_apply(group, instance, serve)
-
-        try:
-            node.propose(marker, decided)
-            self.metrics.counter("rs.encode_calls").inc(1)
-        except RuntimeError:
-            r = NotReady()
-            respond(r, r.wire_bytes)
+        self._submit(self.shard_map.group_of(msg.key), _BatchEntry(
+            "read", msg.key, 0, None, "", 0, serve, respond,
+        ))
 
     def _serve_read(self, key: str, start: float, respond) -> None:
         entry = self.store.get(key)
@@ -2277,13 +2118,17 @@ class KVServer:
     # view change (§4.6 / §6.1)
     # ------------------------------------------------------------------
 
-    def _shrunk_config(self, new_n: int):
-        """The §6.1 shrink rule: keep the fault-tolerance target F and
-        re-derive quorums/coding at the smaller N. For the paper's
-        N=5, Q=4, θ(3,5) group this yields N=4, Q=3, θ(2,4). Classic
-        Paxos shrinks to the smaller majority group."""
-        from ..core import classic_paxos, rs_paxos
+    def _config_for(self, new_n: int):
+        """The §6.1 resize rule: keep the fault-tolerance target F and
+        re-derive quorums/coding at the new N. Shrinking the paper's
+        N=5, Q=4, θ(3,5) group yields N=4, Q=3, θ(2,4); growing it back
+        restores N=5, Q=4, θ(3,5). Classic Paxos resizes to the new
+        majority group.
 
+        Growth needs no placement confirmation: the new read quorum
+        Q_R' >= Q_R means any post-growth read quorum still contains at
+        least Q_R - 1 >= X_old members of the old view, so values coded
+        under the old θ stay recoverable without re-coding."""
         if not self.config.is_erasure_coded:
             return classic_paxos(new_n)
         return rs_paxos(new_n, self.config.f)
@@ -2305,7 +2150,7 @@ class KVServer:
             return  # no meaningful smaller quorum system
         self._view_changing = True
         members = tuple(sorted(self.member_ids - {dead_id}))
-        new_config = self._shrunk_config(len(members))
+        new_config = self._config_for(len(members))
         self.tracer.emit(
             self.sim.now, "kv",
             f"{self.name} view change: drop {dead_id} -> "
@@ -2402,13 +2247,7 @@ class KVServer:
     def _put_keys_of(meta) -> tuple[str, ...]:
         """Keys a decision wrote — drives placement confirmation and the
         scrubber's store-mirror bookkeeping, batch-aware."""
-        if not isinstance(meta, Command):
-            return ()
-        if meta.op == "put" or (meta.op == "copy" and meta.arg != "tombstone"):
-            return (meta.key,)
-        if meta.op == "batch" and isinstance(meta.arg, BatchMeta):
-            return tuple(i.key for i in meta.arg.items if i.op == "put")
-        return ()
+        return tuple(i.key for i in items_of(meta) if i.op == "put")
 
     def _fill_gaps(self, group: int, member: int, reply, done) -> None:
         if not self.up or not isinstance(reply, PlacementGaps):
@@ -2563,24 +2402,19 @@ class KVServer:
         if rec is not None and rec.value_id == msg.value_id and rec.share is None:
             rec.share = msg.share
         self._hold_share(node, msg.instance, msg.share)
-        # Reflect it in the local store too.
-        if isinstance(msg.meta, Command) and msg.meta.op == "put":
-            self.store.put(
-                msg.meta.key, msg.share, msg.share.size, msg.instance,
-                complete=False,
-            )
-        elif self._is_batch(msg.meta):
-            # A batched share stands in for every key the batch wrote,
-            # in frame order (later same-key commands win).
-            items = msg.meta.arg.items if isinstance(msg.meta.arg, BatchMeta) else ()
-            for item in items:
-                if item.op == "put":
-                    self.store.put(
-                        item.key, msg.share, msg.share.size, msg.instance,
-                        complete=False,
-                    )
-                elif item.op == "delete":
-                    self.store.delete(item.key, msg.instance)
+        meta = msg.meta
+        if not isinstance(meta, Command) or meta.op == "copy":
+            return  # a copy's era rule lives in apply, not here
+        # Reflect it in the local store too, at the version apply would
+        # have stamped: the share stands in for every key the value
+        # wrote, in apply order (later same-key commands win).
+        version = encode_version(meta.mapv, msg.instance)
+        for item in items_of(meta):
+            if item.op == "put":
+                self.store.put(item.key, msg.share, msg.share.size, version,
+                               complete=False, group=msg.group)
+            elif item.op == "delete":
+                self.store.delete(item.key, version, group=msg.group)
 
     # ------------------------------------------------------------------
     # catch-up (§4.5)
@@ -2831,13 +2665,11 @@ class KVServer:
                 # Classic Paxos: the "share" is the full value. For a
                 # batched value that is the whole frame — materialize
                 # only this key's slice.
-                data, vsize = e.share.data, e.share.value_size
-                if self._is_batch(e.meta):
-                    data, vsize = self._payload_for_key(
-                        Value(e.value_id, e.share.value_size, e.share.data,
-                              meta=e.meta),
-                        e.key,
-                    )
+                data, vsize = self._payload_for_key(
+                    Value(e.value_id, e.share.value_size, e.share.data,
+                          meta=e.meta),
+                    e.key,
+                )
                 self.store.put(e.key, data, vsize, e.version, complete=True,
                                group=group)
             elif e.share is not None:
@@ -3067,7 +2899,9 @@ class KVServer:
         if rec is not None and rec.value is not None:
             encode_for(rec.value)
             return
-        if entry.complete and not self._is_batch(meta):
+        if entry.complete and getattr(meta, "op", None) != "batch":
+            # A complete entry holds the whole value unless a batch
+            # wrote it (then it holds only this key's slice).
             data = entry.value if isinstance(entry.value, bytes) else None
             encode_for(Value(value_id, entry.size, data, meta=meta))
             return
@@ -3097,21 +2931,6 @@ class KVServer:
     # reconfigure-add: re-admit a rebuilt node (§4.6 inverse of remove)
     # ------------------------------------------------------------------
 
-    def _grown_config(self, new_n: int):
-        """Inverse of the §6.1 shrink rule: keep the fault-tolerance
-        target F and re-derive quorums/coding at the larger N. For the
-        paper's group this restores N=5, Q=4, θ(3,5) after a rejoin.
-
-        Growth needs no placement confirmation: the new read quorum
-        Q_R' >= Q_R means any post-growth read quorum still contains at
-        least Q_R - 1 >= X_old members of the old view, so values coded
-        under the old θ stay recoverable without re-coding."""
-        from ..core import classic_paxos, rs_paxos
-
-        if not self.config.is_erasure_coded:
-            return classic_paxos(new_n)
-        return rs_paxos(new_n, self.config.f)
-
     def reconfigure_add(self, new_id: int) -> None:
         """Re-admit ``new_id`` to every Paxos group via view change.
 
@@ -3128,7 +2947,7 @@ class KVServer:
             return
         self._view_changing = True
         members = tuple(sorted(self.member_ids | {new_id}))
-        new_config = self._grown_config(len(members))
+        new_config = self._config_for(len(members))
         self.tracer.emit(
             self.sim.now, "kv",
             f"{self.name} view change: add {new_id} -> "
@@ -3161,9 +2980,7 @@ class KVServer:
     def _shard_write_ok(self, msg, respond) -> bool:
         """Dynamic-sharding write admission, after the leader guard.
 
-        Two refusals: the client piggybacked a *newer* map version than
-        we have applied (our routing is stale — WrongShard, the client
-        rotates while we catch up on the config log), and the fresh-
+        Two refusals: a stale map (:meth:`_stale_map`), and the fresh-
         leader config fence (NotReady until this leader has applied its
         whole config-group election barrier; accepting a write under a
         predecessor's newer map would stamp it with a stale era and a
@@ -3171,17 +2988,29 @@ class KVServer:
         """
         if not self.cfg.dynamic_shards:
             return True
-        if msg.map_version > self.shard_map.version:
-            self.wrong_shard_replies += 1
-            self.metrics.counter("shard.wrong_shard").inc(1)
-            r = WrongShard(msg.key, map_version=self.shard_map.version)
-            respond(r, r.wire_bytes)
+        if self._stale_map(msg, respond):
             return False
         cfg = self.cfg_group
         if self.groups[cfg].apply_cursor <= self._read_barrier[cfg]:
             r = NotReady()
             respond(r, r.wire_bytes)
             return False
+        return True
+
+    def _stale_map(self, msg, respond) -> bool:
+        """Refuse (WrongShard) a client that piggybacked a *newer* shard
+        map than this replica has applied: our routing (ownership,
+        read-index group) may be stale, so the client rotates while we
+        catch up on the config log. True when refused."""
+        if not (
+            self.cfg.dynamic_shards
+            and msg.map_version > self.shard_map.version
+        ):
+            return False
+        self.wrong_shard_replies += 1
+        self.metrics.counter("shard.wrong_shard").inc(1)
+        r = WrongShard(msg.key, map_version=self.shard_map.version)
+        respond(r, r.wire_bytes)
         return True
 
     def _group_slot_ok(self, group: int, tenant: str, respond) -> bool:
@@ -3430,11 +3259,8 @@ class KVServer:
         inst = instance_of(entry.version)
 
         def with_value(value) -> None:
-            if self._is_batch(value.meta):
-                data, size = self._payload_for_key(value, key)
-                cont(size, data)
-            else:
-                cont(value.size, value.data)
+            data, size = self._payload_for_key(value, key)
+            cont(size, data)
 
         # The deadline keeps one unreconstructible value from wedging
         # the whole migration; the retry pass picks it up.

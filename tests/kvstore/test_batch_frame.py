@@ -28,13 +28,21 @@ common = settings(
 
 from repro.kvstore import (
     BatchItem,
+    BatchMeta,
+    Command,
     FrameError,
     FramedCommand,
     decode_frame,
     encode_frame,
     frame_size,
 )
-from repro.kvstore.batch import ENTRY_OVERHEAD, FRAME_OVERHEAD, MAGIC
+from repro.kvstore.batch import (
+    ENTRY_OVERHEAD,
+    FRAME_OVERHEAD,
+    MAGIC,
+    items_of,
+    payloads_of,
+)
 
 # Keys/clients exercise unicode (multi-byte UTF-8) and the empty
 # string; values exercise b"" and arbitrary bytes.
@@ -179,3 +187,29 @@ def test_encode_rejects_unknown_op_and_oversize_fields():
         encode_frame((FramedCommand("put", "k", client="c" * 70000),))
     with pytest.raises(FrameError):
         encode_frame((FramedCommand("put", "k", op_id=2**64),))
+
+
+def test_plain_commands_are_batches_of_one():
+    assert items_of(Command("put", "k", client="c", op_id=3), 9) == (
+        BatchItem("put", "k", 9, "c", 3),
+    )
+    assert items_of(Command("copy", "k", arg="tombstone"), 0) == (
+        BatchItem("delete", "k", 0),
+    )
+    assert items_of(Command("fence", "k")) == ()
+    assert payloads_of(Command("put", "k"), b"v", 1) == [b"v"]
+
+
+@common
+@given(command_lists)
+def test_damaged_frame_yields_no_payloads(cmds):
+    """Apply reads batch payloads through payloads_of: a frame that
+    fails validation gives every command None, never a partial list."""
+    meta = Command("batch", "", arg=BatchMeta(tuple(
+        BatchItem(c.op, c.key, len(c.data), c.client, c.op_id) for c in cmds
+    )))
+    buf = encode_frame(cmds)
+    assert payloads_of(meta, buf, len(cmds)) == [c.data for c in cmds]
+    bad = bytearray(buf)
+    bad[-5] ^= 0xFF
+    assert payloads_of(meta, bytes(bad), len(cmds)) == [None] * len(cmds)

@@ -8,7 +8,7 @@ to N=4, Q=3, θ(2,4) so it can survive a *second* uncorrelated failure.
 import pytest
 
 from repro.core import classic_paxos, rs_paxos
-from repro.kvstore import build_cluster
+from repro.kvstore import ClientPut, NotReady, PutOk, build_cluster
 
 
 def make(seed=1, **kw):
@@ -108,6 +108,25 @@ class TestExplicitViewChange:
         c.clients[0].put("y", 500, on_done=lambda ok: done.append(ok))
         c.run(until=40.0)
         assert done == [True]
+
+    def test_queued_write_is_fenced_during_the_drain(self):
+        """A write still in the admission queue when the change starts
+        is answered NotReady once a slot frees, never proposed while
+        the drain waits for the pipeline to empty."""
+        c = make(max_inflight_proposals=1, batch_max_commands=1)
+        leader = c.leader()
+        replies = {}
+        for op_id, key in enumerate(("a", "b"), start=1):
+            leader._on_write(
+                ClientPut(key, 100, client="probe", op_id=op_id), "probe",
+                lambda r, nbytes=0, key=key: replies.setdefault(key, r),
+            )
+        assert replies == {}  # "a" in flight, "b" queued behind it
+        leader.reconfigure_remove(4)
+        c.run(until=3.0)
+        assert isinstance(replies["a"], PutOk)
+        assert isinstance(replies["b"], NotReady)
+        assert leader.view_changes_completed == 1
 
     def test_non_leader_cannot_reconfigure(self):
         c = make()
