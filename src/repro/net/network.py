@@ -13,6 +13,7 @@ job of the durable-storage layer (:mod:`repro.storage`).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable
 
 from ..sim import FifoResource, Simulator, Tracer, NULL_TRACER
@@ -76,6 +77,8 @@ class Network:
         self.messages_delivered = 0
         self.messages_dropped = 0
         self._msg_seq = 0
+        # Directed pair -> its (loss, dup, jitter) RNG stream names.
+        self._stream_names: dict[tuple[str, str], tuple[str, str, str]] = {}
 
     # -- topology -------------------------------------------------------
 
@@ -208,6 +211,21 @@ class Network:
         )
 
     # -- data path --------------------------------------------------------
+    #
+    # A wire message costs two kernel events: arrival at the receiver's
+    # ingress queue, and ingress done (delivery). The egress queue is
+    # FIFO per host, so a message's egress completion time is known at
+    # send: :meth:`send` books it with ``FifoResource.reserve`` and
+    # schedules the arrival directly. The ingress hop stays an event
+    # because its queue order depends on arrival order across senders.
+    #
+    # The loss, dup and jitter draws therefore happen at send time, not
+    # at egress completion. Each directed pair's stream sees its draws
+    # in the same order either way, because every message of the pair
+    # leaves through the same FIFO egress queue. The one difference: an
+    # impairment toggled (``set_impairment``) while a message waits in
+    # an egress queue no longer applies to that message; the
+    # probabilities in force when it was sent do.
 
     def send(self, src: str, dst: str, payload: Any, size: int) -> None:
         """Transmit one message; delivery (if any) is asynchronous.
@@ -228,48 +246,63 @@ class Network:
             # Loopback: deliver at the current instant, preserving FIFO.
             # Never touches the NIC, so it does not count as wire traffic
             # (the paper's leader keeps its own share locally).
-            self.sim.call_soon(lambda: self._deliver(env))
+            self.sim.call_soon(partial(self._deliver, env))
             return
 
         self.messages_sent += 1
-        sender.bytes_sent += env.wire_size
+        wire = env.wire_size
+        sender.bytes_sent += wire
         spec = self.link(src, dst)
 
-        # 1. Egress serialization (shared per-host queue).
-        ser = spec.serialization_time(env.wire_size)
+        # Egress serialization (shared per-host queue), booked now; the
+        # message leaves the NIC at ``done``.
+        ser = spec.serialization_time(wire)
         ser *= self._nic_slowdown.get(src, 1.0)
-        sender.egress.submit(ser, lambda: self._propagate(env, spec))
+        done = sender.egress.reserve(ser)
+        self._propagate(env, spec, done)
 
-    def _propagate(self, env: Envelope, spec: LinkSpec) -> None:
-        # Loss / duplication coin flips, per directed pair stream.
-        stream = f"net.loss.{env.src}->{env.dst}"
+    def _streams(self, src: str, dst: str) -> tuple[str, str, str]:
+        """The loss, dup and jitter RNG stream names of a directed pair."""
+        names = self._stream_names.get((src, dst))
+        if names is None:
+            pair = f"{src}->{dst}"
+            names = self._stream_names[(src, dst)] = (
+                f"net.loss.{pair}", f"net.dup.{pair}", f"net.jitter.{pair}"
+            )
+        return names
+
+    def _propagate(self, env: Envelope, spec: LinkSpec, done: float) -> None:
+        """Draw loss, dup and jitter for a message leaving its sender's
+        NIC at ``done``, and schedule each surviving copy's arrival."""
+        rng = self.sim.rng
+        loss_stream, dup_stream, jitter_stream = self._streams(env.src, env.dst)
         loss_prob = min(1.0, spec.loss_prob + self.extra_loss_prob)
-        if self.sim.rng.choice_prob(stream, loss_prob):
+        if rng.choice_prob(loss_stream, loss_prob):
             self.messages_dropped += 1
-            self.tracer.emit(self.sim.now, "net", f"lost {env.src}->{env.dst} #{env.msg_id}")
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    self.sim.now, "net", f"lost {env.src}->{env.dst} #{env.msg_id}"
+                )
             return
         copies = 1
-        dup_stream = f"net.dup.{env.src}->{env.dst}"
         dup_prob = min(1.0, spec.dup_prob + self.extra_dup_prob)
-        if self.sim.rng.choice_prob(dup_stream, dup_prob):
+        if rng.choice_prob(dup_stream, dup_prob):
             copies = 2
         for c in range(copies):
             delay = spec.delay_s
             if spec.jitter_s > 0:
-                delay += self.sim.rng.uniform(
-                    f"net.jitter.{env.src}->{env.dst}", -spec.jitter_s, spec.jitter_s
-                )
+                delay += rng.uniform(jitter_stream, -spec.jitter_s, spec.jitter_s)
             copy = env if c == 0 else Envelope(
                 src=env.src, dst=env.dst, payload=env.payload,
                 size=env.size, msg_id=env.msg_id, dup=True,
             )
-            self.sim.call_after(delay, lambda e=copy: self._arrive(e, spec))
+            self.sim.call_at(done + delay, partial(self._arrive, copy, spec))
 
     def _arrive(self, env: Envelope, spec: LinkSpec) -> None:
         receiver = self.hosts[env.dst]
         ser = spec.serialization_time(env.wire_size)
         ser *= self._nic_slowdown.get(env.dst, 1.0)
-        receiver.ingress.submit(ser, lambda: self._deliver(env))
+        receiver.ingress.submit(ser, partial(self._deliver, env))
 
     def _deliver(self, env: Envelope) -> None:
         receiver = self.hosts[env.dst]
@@ -279,11 +312,12 @@ class Network:
         if env.src != env.dst:
             self.messages_delivered += 1
             receiver.bytes_received += env.wire_size
-        self.tracer.emit(
-            self.sim.now, "net",
-            f"deliver {env.src}->{env.dst} #{env.msg_id} "
-            f"{type(env.payload).__name__} {env.size}B",
-        )
+        if self.tracer.enabled:
+            self.tracer.emit(
+                self.sim.now, "net",
+                f"deliver {env.src}->{env.dst} #{env.msg_id} "
+                f"{type(env.payload).__name__} {env.size}B",
+            )
         if receiver.handler is not None:
             receiver.handler(env)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..net import Envelope, Network
-from ..sim import Event, Simulator
+from ..sim import Event, Gauge, Simulator
 
 _request_ids = itertools.count()
 
@@ -79,6 +79,10 @@ class PeerStats:
     dev: float = 0.0
     samples: int = 0
     rto: float = 0.0
+    #: The ``rpc.rtt.<name>.<dst>`` gauge that mirrors ``ewma``,
+    #: resolved once when the peer is first measured (None without a
+    #: metric set).
+    gauge: Gauge | None = field(default=None, repr=False, compare=False)
 
     def snapshot(self) -> "PeerStats":
         return PeerStats(self.ewma, self.dev, self.samples, self.rto)
@@ -270,6 +274,8 @@ class RpcEndpoint:
         st = self._peer_stats.get(dst)
         if st is None:
             st = self._peer_stats[dst] = PeerStats()
+            if self.metrics is not None:
+                st.gauge = self.metrics.gauge(f"rpc.rtt.{self.name}.{dst}")
         if st.samples == 0:
             st.ewma = sample
             st.dev = sample / 2
@@ -282,8 +288,8 @@ class RpcEndpoint:
         if st.rto > 0.0 and abs(rto - st.rto) > 0.25 * st.rto:
             self.timeouts_adapted += 1
         st.rto = rto
-        if self.metrics is not None:
-            self.metrics.gauge(f"rpc.rtt.{self.name}.{dst}").set(st.ewma)
+        if st.gauge is not None:
+            st.gauge.set(st.ewma)
 
     def rtt_table(self) -> dict[str, float]:
         """Smoothed RTT per measured peer, for episode summaries."""

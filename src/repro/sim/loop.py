@@ -15,34 +15,25 @@ experiment seed always produces the identical trace.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+import math
 from typing import Callable
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
 class Event:
-    """Handle to a scheduled callback; supports cancellation."""
+    """Handle to a scheduled callback; supports cancellation.
 
-    __slots__ = ("_ev",)
+    The heap holds ``(time, seq, event)`` tuples, so ordering is decided
+    by C-level tuple comparison on ``(time, seq)`` and the event itself
+    is never compared.
+    """
 
-    def __init__(self, ev: _Event):
-        self._ev = ev
+    __slots__ = ("time", "callback", "cancelled")
 
-    @property
-    def time(self) -> float:
-        """Simulated time at which the callback fires."""
-        return self._ev.time
-
-    @property
-    def cancelled(self) -> bool:
-        return self._ev.cancelled
+    def __init__(self, time: float, callback: Callable[[], None]):
+        #: Simulated time at which the callback fires.
+        self.time = time
+        self.callback = callback
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Prevent the callback from running (idempotent).
@@ -50,7 +41,7 @@ class Event:
         Cancellation is O(1): the heap entry is tombstoned and skipped
         when popped.
         """
-        self._ev.cancelled = True
+        self.cancelled = True
 
 
 class SimulationError(RuntimeError):
@@ -70,7 +61,7 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self._now = 0.0
         self._seq = 0
-        self._heap: list[_Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._running = False
         self.seed = seed
         # Lazily-built named RNG substreams (see repro.sim.rng).
@@ -94,10 +85,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={when} < now={self._now}"
             )
-        ev = _Event(when, self._seq, callback)
+        ev = Event(when, callback)
+        heapq.heappush(self._heap, (when, self._seq, ev))
         self._seq += 1
-        heapq.heappush(self._heap, ev)
-        return Event(ev)
+        return ev
 
     def call_after(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
@@ -114,11 +105,12 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the single next event. Returns False if the queue is empty."""
-        while self._heap:
-            ev = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            when, _, ev = heapq.heappop(heap)
             if ev.cancelled:
                 continue
-            self._now = ev.time
+            self._now = when
             self.events_processed += 1
             ev.callback()
             return True
@@ -129,36 +121,47 @@ class Simulator:
         ``max_events`` have been processed.
 
         When ``until`` is given, the clock is advanced to exactly
-        ``until`` at exit (even if the queue drained earlier), so
-        metrics sampled at "end of run" are well defined.
+        ``until`` at exit if no live event at or before ``until`` is
+        left (the queue drained, or the next event lies past it), so
+        metrics sampled at "end of run" are well defined. A run cut
+        short by ``max_events`` leaves the clock at the last event
+        fired, so the next run never moves it backwards.
+
+        ``events_processed`` is brought up to date when the run returns.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        heap = self._heap
+        pop = heapq.heappop
+        horizon = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
         processed = 0
         try:
-            while self._heap:
-                if max_events is not None and processed >= max_events:
-                    return
-                nxt = self._heap[0]
-                if nxt.cancelled:
-                    heapq.heappop(self._heap)
+            while heap and processed < budget:
+                entry = pop(heap)
+                ev = entry[2]
+                if ev.cancelled:
                     continue
-                if until is not None and nxt.time > until:
+                when = entry[0]
+                if when > horizon:
+                    heapq.heappush(heap, entry)
                     break
-                heapq.heappop(self._heap)
-                self._now = nxt.time
-                self.events_processed += 1
+                self._now = when
                 processed += 1
-                nxt.callback()
+                ev.callback()
         finally:
-            if until is not None and self._now < until:
-                self._now = until
+            self.events_processed += processed
             self._running = False
+            if until is not None and self._now < until:
+                while heap and heap[0][2].cancelled:
+                    pop(heap)
+                if not heap or heap[0][0] > until:
+                    self._now = until
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, ev in self._heap if not ev.cancelled)
 
     # -- misc -----------------------------------------------------------
 

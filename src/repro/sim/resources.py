@@ -24,7 +24,8 @@ class FifoResource:
 
     Jobs are (service_time, callback) pairs. The callback fires when
     the job *completes*. Service begins immediately if idle, else when
-    all earlier jobs have finished.
+    all earlier jobs have finished. :meth:`reserve` books a job the
+    same way but leaves acting on its completion time to the caller.
     """
 
     def __init__(self, sim: Simulator, name: str = "resource"):
@@ -34,19 +35,27 @@ class FifoResource:
         self._busy_time = 0.0  # integral of busy periods
         self.jobs_served = 0
 
-    def submit(self, service_time: float, callback: Callable[[], None]) -> float:
-        """Enqueue a job; returns its completion time.
+    def reserve(self, service_time: float) -> float:
+        """Book a job without scheduling anything; returns its completion
+        time.
 
-        ``service_time`` must be >= 0. Zero-time jobs still respect
-        FIFO ordering.
+        For callers that can act on the completion time directly (the
+        network schedules a message's arrival from it) instead of
+        waiting for a completion event. ``service_time`` must be >= 0.
+        Zero-time jobs still respect FIFO ordering.
         """
         if service_time < 0:
             raise ValueError(f"negative service time {service_time}")
-        start = max(self.sim.now, self._busy_until)
-        done = start + service_time
+        done = max(self.sim.now, self._busy_until) + service_time
         self._busy_until = done
         self._busy_time += service_time
         self.jobs_served += 1
+        return done
+
+    def submit(self, service_time: float, callback: Callable[[], None]) -> float:
+        """Enqueue a job; ``callback`` fires when it completes. Returns
+        the completion time."""
+        done = self.reserve(service_time)
         self.sim.call_at(done, callback)
         return done
 

@@ -29,12 +29,20 @@ that clean picture:
   acceptor still knows it voted, and for which value, but the coded
   share bytes are garbage until the scrubber repairs them from peers
   (see ``KVServer._scrub_pass``).
+
+Checksums cover a canonical text of each record: its payload as
+``repr`` would print it, except that bytes fields (the coded share
+bytes of an accept record) enter as their length and CRC32. The text
+changes whenever ``repr`` would, so every in-place change the bit-rot
+model makes is still caught, but a 1 MiB share is read once by
+``zlib.crc32`` instead of being escaped into a multi-megabyte string on
+every append and every verification (:func:`record_checksum`).
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Callable
 
 from ..sim import Event, Simulator
@@ -59,15 +67,78 @@ CRC_BYTES = 4
 RECORD_HEADER_BYTES = LENGTH_BYTES + LSN_BYTES + TYPE_BYTES + CRC_BYTES
 
 
+#: Types whose ``repr`` is their canonical text: short, exact, and
+#: distinct across types (``1``, ``1.0``, ``True`` and ``'1'`` differ).
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+#: Opening and closing text of each container or dataclass walked item
+#: by item, and for a dataclass the names of the fields its ``repr``
+#: shows (None for a container). Every other class maps to None and
+#: enters through its own ``repr``. Filled in on first sight of a class.
+_SHAPES: dict[type, tuple[str, str, tuple[str, ...] | None] | None] = {
+    tuple: ("(", "),", None),
+    list: ("[", "],", None),
+    set: ("{", "},", None),
+    frozenset: ("frozenset(", "),", None),
+    dict: ("{", "},", None),
+}
+_UNSEEN = object()
+
+
+def _shape(cls: type) -> tuple[str, str, tuple[str, ...] | None] | None:
+    shape = None
+    if is_dataclass(cls):
+        names = tuple(f.name for f in fields(cls) if f.repr)
+        shape = (cls.__qualname__ + "(", "),", names)
+    _SHAPES[cls] = shape
+    return shape
+
+
+def _canonical(obj: Any) -> str:
+    """The canonical text of ``obj``, followed by a comma.
+
+    The text is what ``repr`` would print, with one change: every
+    bytes-like value becomes ``<type length:crc32>`` instead of its
+    escaped contents. Containers and dataclasses are walked so that bytes
+    nested anywhere inside them are folded too; a dataclass shows its
+    class name and the same fields its ``repr`` shows, a dict its
+    ``(key, value)`` pairs. Any other object enters through its own
+    ``repr``.
+    """
+    cls = type(obj)
+    shape = _SHAPES.get(cls, _UNSEEN)
+    if shape is _UNSEEN:
+        if isinstance(obj, (bytes, bytearray, memoryview)):
+            return f"<{cls.__name__} {len(obj)}:{zlib.crc32(obj)}>,"
+        shape = _shape(cls)
+    if shape is None:
+        return f"{obj!r},"
+    text, closing, names = shape
+    if names is None:
+        for item in obj.items() if cls is dict else obj:
+            text += f"{item!r}," if type(item) in _SCALARS else _canonical(item)
+    else:
+        for name in names:
+            item = getattr(obj, name)
+            text += f"{item!r}," if type(item) in _SCALARS else _canonical(item)
+    return text + closing
+
+
 def record_checksum(lsn: int, payload: Any) -> int:
     """CRC32 over a record's canonical serialization.
 
     The simulator never materializes real on-disk bytes, so the CRC is
-    computed over the deterministic ``repr`` of ``(lsn, payload)`` —
-    any in-place mutation of the payload (bit-rot injection) makes the
-    stored CRC stale exactly like flipped payload bits would.
+    computed over a deterministic text of ``(lsn, payload)``: the
+    payload's ``repr``, except that bytes fields (a concrete
+    ``CodedShare.data``) enter as their length and CRC32. A share's
+    bytes are thus read once by ``zlib.crc32`` and never escaped into a
+    string several times their size. Any change to the payload that
+    ``repr`` would show (a different share byte, a flipped ``corrupt``
+    flag, a payload swapped for another) makes the stored CRC stale,
+    exactly like flipped payload bits would.
     """
-    return zlib.crc32(repr((lsn, payload)).encode("utf-8", "backslashreplace"))
+    text = _canonical((lsn, payload))
+    return zlib.crc32(text.encode("utf-8", "backslashreplace"))
 
 
 @dataclass(slots=True)

@@ -252,6 +252,110 @@ class TestAccounting:
         assert any("deliver" in r.detail for r in tracer.filter("net"))
 
 
+class TestMessagePath:
+    """Timing and event cost of one wire message."""
+
+    def test_delivery_time_is_egress_plus_delay_plus_ingress(self):
+        # 1 MB/s NICs: a message of ``n`` wire bytes serializes in
+        # n / 1e6 s at each end.
+        spec = LinkSpec(delay_s=0.25, bandwidth_bps=8e6)
+        sim, net = make_net(spec, names=("A", "B", "C"))
+        got = {}
+        for h in ("B", "C"):
+            net.set_handler(h, lambda env: got.setdefault(env.payload, sim.now))
+        wire = [500_000, 250_000, 1_000_000]
+        # Three sends at t=0 back the egress queue up; a fourth joins
+        # the queue at t=0.5 while the first is still on the NIC.
+        for i, n in enumerate(wire):
+            net.send("A", "B" if i != 1 else "C", i, size=n - HEADER_BYTES)
+        sim.call_at(0.5, lambda: net.send("A", "C", 3, size=100_000 - HEADER_BYTES))
+        sim.run()
+        egress_done = [0.5, 0.75, 1.75, 1.85]
+        delay = 0.25
+        # B's ingress: message 0 arrives at 0.75, done 1.25; message 2
+        # arrives at 2.0, ingress idle, done 3.0. C's: message 1 arrives
+        # at 1.0, done 1.25; message 3 arrives at 2.1, done 2.2.
+        assert got[0] == pytest.approx(egress_done[0] + delay + 0.5)
+        assert got[1] == pytest.approx(egress_done[1] + delay + 0.25)
+        assert got[2] == pytest.approx(egress_done[2] + delay + 1.0)
+        assert got[3] == pytest.approx(egress_done[3] + delay + 0.1)
+
+    def test_ingress_queue_orders_by_arrival(self):
+        # Two senders, one receiver: the ingress hop still queues, so a
+        # message arriving while another is in ingress waits for it.
+        spec = LinkSpec(delay_s=0.0, bandwidth_bps=8e6)
+        sim, net = make_net(spec, names=("A", "B", "C"))
+        got = []
+        net.set_handler("C", lambda env: got.append((env.payload, sim.now)))
+        net.send("A", "C", "a", size=1_000_000 - HEADER_BYTES)
+        net.send("B", "C", "b", size=1_000_000 - HEADER_BYTES)
+        sim.run()
+        assert got == [("a", pytest.approx(2.0)), ("b", pytest.approx(3.0))]
+
+    def test_wire_message_costs_two_events(self):
+        sim, net = make_net(LinkSpec(delay_s=0.01))
+        net.set_handler("B", lambda env: None)
+        for i in range(4):
+            net.send("A", "B", i, size=100)
+        # Only the arrivals are scheduled at send time.
+        assert sim._seq == 4
+        sim.run()
+        # Arrival, then ingress done (delivery), per message.
+        assert sim._seq == 8
+        assert sim.events_processed == 8
+        assert net.messages_delivered == 4
+
+    def test_jitter_draws_follow_send_order_per_pair(self):
+        spec = LinkSpec(delay_s=0.05, jitter_s=0.01, bandwidth_bps=8e6)
+        sim, net = make_net(spec, seed=5, names=("A", "B"))
+        got = {}
+        net.set_handler("B", lambda env: got.setdefault(env.payload, sim.now))
+        sizes = [10_000, 1_000, 50_000]
+        for i, n in enumerate(sizes):
+            net.send("A", "B", i, size=n - HEADER_BYTES)
+        sim.run()
+        # Replay the pair's jitter stream by hand: one draw per message,
+        # in send order (= egress order, the queue being FIFO).
+        from repro.sim import RngRegistry
+
+        rng = RngRegistry(5)
+        egress_done = 0.0
+        arrivals = []
+        for i, n in enumerate(sizes):
+            ser = n * 8 / 8e6
+            egress_done += ser
+            jitter = rng.uniform("net.jitter.A->B", -0.01, 0.01)
+            arrivals.append((egress_done + 0.05 + jitter, i, ser))
+        ingress_free = 0.0
+        for arrive, i, ser in sorted(arrivals):
+            ingress_free = max(arrive, ingress_free) + ser
+            assert got[i] == pytest.approx(ingress_free, abs=1e-12)
+
+    def test_impairment_applies_as_of_send(self):
+        # A message already booked on the egress NIC when a total-loss
+        # impairment starts was sent under the old probabilities and
+        # still gets through (its loss draw happened at send).
+        spec = LinkSpec(delay_s=0.0, bandwidth_bps=8e6)
+        sim, net = make_net(spec)
+        got = []
+        net.set_handler("B", lambda env: got.append(env.payload))
+        net.send("A", "B", "early", size=1_000_000 - HEADER_BYTES)
+        sim.call_at(0.5, lambda: net.set_impairment(1.0))
+        sim.call_at(0.5, lambda: net.send("A", "B", "late", size=10))
+        sim.run()
+        assert got == ["early"]
+        assert net.messages_dropped == 1
+
+    def test_lost_message_is_traced_when_tracing(self):
+        sim = Simulator()
+        tracer = Tracer()
+        net = build_network(sim, ["A", "B"], LinkSpec(loss_prob=1.0), tracer)
+        net.set_handler("B", lambda env: None)
+        net.send("A", "B", "x", size=5)
+        sim.run()
+        assert [r.detail for r in tracer.filter("net")] == ["lost A->B #1"]
+
+
 class TestTopology:
     def test_builders(self):
         sim = Simulator()

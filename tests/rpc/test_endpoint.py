@@ -6,7 +6,7 @@ import pytest
 
 from repro.net import LinkSpec, build_network
 from repro.rpc import Batch, RpcEndpoint
-from repro.sim import Simulator
+from repro.sim import MetricSet, Simulator
 
 
 @dataclass
@@ -194,6 +194,24 @@ class TestAdaptiveTimeouts:
         assert st.dev == pytest.approx(st.ewma / 2)
         # ewma + 4*dev is far below the floor on this quiet link.
         assert eps["A"].rto("B", 9.9) == eps["A"].rto_floor
+
+    def test_rtt_gauge_resolved_once_per_peer(self):
+        metrics = MetricSet()
+        lookups = []
+        gauge = metrics.gauge
+        metrics.gauge = lambda name: lookups.append(name) or gauge(name)
+        sim, net, eps = make_endpoints(names=("A", "B", "C"), metrics=metrics)
+        for peer in ("B", "C"):
+            eps[peer].on_request(Ping, lambda msg, src: Pong())
+        for i in range(5):
+            for peer in ("B", "C"):
+                sim.call_at(0.1 * i, lambda p=peer: eps["A"].request(
+                    p, Ping(), size=10, on_reply=lambda r: None))
+        sim.run()
+        assert sorted(lookups) == ["rpc.rtt.A.B", "rpc.rtt.A.C"]
+        for peer in ("B", "C"):
+            assert eps["A"].peer_stats(peer).samples == 5
+            assert metrics.gauges[f"rpc.rtt.A.{peer}"].value == eps["A"].peer_rtt(peer)
 
     def test_karn_no_sample_from_retransmitted_exchange(self):
         # The first-ever exchange needs a retransmit: Karn's rule says

@@ -153,3 +153,95 @@ class TestEventsScheduledDuringRun:
         sim.call_at(0.0, lambda: tick(0))
         sim.run()
         assert seen == [(0.0, 0), (1.0, 1), (2.0, 2), (3.0, 3)]
+
+
+class TestClockNeverRunsBackwards:
+    def test_max_events_stop_leaves_clock_at_last_event(self):
+        sim = Simulator()
+        fired = []
+        for t in (1.0, 2.0, 3.0):
+            sim.call_at(t, lambda: fired.append(sim.now))
+        sim.run(until=10.0, max_events=1)
+        # Two events at or before ``until`` are still queued, so the
+        # clock must not jump past them.
+        assert sim.now == 1.0
+        assert sim.pending() == 2
+        sim.run()
+        assert fired == [1.0, 2.0, 3.0]
+
+    def test_max_events_stop_advances_when_rest_lies_past_until(self):
+        sim = Simulator()
+        sim.call_at(1.0, lambda: None)
+        sim.call_at(20.0, lambda: None)
+        sim.run(until=10.0, max_events=1)
+        assert sim.now == 10.0
+
+    def test_cancelled_head_does_not_hold_the_clock_back(self):
+        sim = Simulator()
+        sim.call_at(1.0, lambda: None)
+        sim.call_at(2.0, lambda: None).cancel()
+        sim.run(until=10.0, max_events=1)
+        assert sim.now == 10.0
+        assert sim.pending() == 0
+
+    def test_clock_is_monotone_across_cut_runs(self):
+        sim = Simulator()
+        clock = []  # every reading of ``now``, in wall order
+        for i in range(20):
+            sim.call_at(0.5 * i, lambda: clock.append(sim.now))
+        while sim.pending():
+            sim.run(until=sim.now + 3.0, max_events=2)
+            clock.append(sim.now)
+        assert clock == sorted(clock)
+
+
+class TestHeapOrderAndCounters:
+    def test_same_instant_fifo_survives_cancel_and_reschedule(self):
+        sim = Simulator()
+        order = []
+        evs = {n: sim.call_at(1.0, lambda n=n: order.append(n)) for n in "abcd"}
+        evs["b"].cancel()
+        # A rescheduled callback for the same instant goes to the back.
+        sim.call_at(1.0, lambda: order.append("b2"))
+        evs["c"].cancel()
+        sim.call_at(1.0, lambda: order.append("c2"))
+        sim.run()
+        assert order == ["a", "d", "b2", "c2"]
+
+    def test_events_scheduled_at_now_run_after_queued_ones(self):
+        sim = Simulator()
+        order = []
+
+        def first():
+            order.append("first")
+            sim.call_soon(lambda: order.append("soon"))
+
+        sim.call_at(1.0, first)
+        sim.call_at(1.0, lambda: order.append("second"))
+        sim.run()
+        assert order == ["first", "second", "soon"]
+
+    def test_seq_advances_once_per_call_at(self):
+        sim = Simulator()
+        assert sim._seq == 0
+        sim.call_at(1.0, lambda: None)
+        sim.call_after(2.0, lambda: None)
+        sim.call_soon(lambda: None).cancel()
+        assert sim._seq == 3
+        sim.call_at(0.5, lambda: sim.call_after(1.0, lambda: None))
+        sim.run()
+        assert sim._seq == 5
+
+    def test_events_processed_is_exact(self):
+        sim = Simulator()
+        for i in range(6):
+            ev = sim.call_at(float(i), lambda: None)
+            if i % 3 == 0:
+                ev.cancel()  # t=0 and t=3 never fire
+        sim.run(until=2.5)
+        assert sim.events_processed == 2  # t=1, t=2
+        assert sim.step() is True  # t=4
+        assert sim.events_processed == 3
+        sim.run(max_events=5)  # t=5
+        assert sim.events_processed == 4
+        assert sim._seq == 6

@@ -58,6 +58,34 @@ class TestFifoResource:
         with pytest.raises(ValueError):
             FifoResource(sim).submit(-1.0, lambda: None)
 
+    def test_reserve_matches_submit(self):
+        # The same job sequence, booked with reserve on one resource and
+        # submitted on another, yields the same completion times and the
+        # same busy-time integral.
+        jobs = [(0.0, 2.0), (0.0, 3.0), (1.0, 0.0), (9.0, 1.5), (9.5, 0.25)]
+        sim = Simulator()
+        booked, queued = FifoResource(sim), FifoResource(sim)
+        reserved, submitted, fired = [], [], []
+        for at, service in jobs:
+            sim.call_at(at, lambda s=service: reserved.append(booked.reserve(s)))
+            sim.call_at(at, lambda s=service: submitted.append(
+                queued.submit(s, lambda: fired.append(sim.now))))
+        sim.run()
+        assert reserved == submitted == fired == [2.0, 5.0, 5.0, 10.5, 10.75]
+        assert booked._busy_time == queued._busy_time == 6.75
+        assert booked.jobs_served == queued.jobs_served == len(jobs)
+
+    def test_reserve_schedules_nothing(self):
+        sim = Simulator()
+        res = FifoResource(sim)
+        assert res.reserve(1.0) == 1.0
+        assert sim._seq == 0
+        assert res.backlog == 1.0
+
+    def test_reserve_rejects_negative_service_time(self):
+        with pytest.raises(ValueError):
+            FifoResource(Simulator()).reserve(-1.0)
+
     def test_backlog_and_utilization(self):
         sim = Simulator()
         res = FifoResource(sim)

@@ -1,7 +1,13 @@
 """Unit tests for the write-ahead log."""
 
+import os
+
 import pytest
 
+from repro.core.ballot import Ballot
+from repro.core.value import CodedShare
+from repro.erasure import CodingConfig
+from repro.kvstore.batch import FramedCommand
 from repro.sim import Simulator
 from repro.storage import HDD, SSD, Disk, WriteAheadLog, record_checksum
 from repro.storage.wal import RECORD_HEADER_BYTES
@@ -243,6 +249,87 @@ class TestChecksums:
     def test_rewrite_unknown_lsn_is_noop(self):
         sim, disk, wal = make_wal()
         assert not wal.rewrite_record(5, "x", 10)
+
+
+class _NoRepr(bytes):
+    """Share bytes that must never be escaped through ``repr``."""
+
+    def __repr__(self):
+        raise AssertionError("share bytes passed through repr")
+
+
+def concrete_accept(data: bytes, corrupt: bool = False):
+    share = CodedShare("v0.1", 2, CodingConfig(3, 5), 3 * len(data), data,
+                       meta=("put", "k"), members=(0, 1, 2, 3, 4),
+                       corrupt=corrupt)
+    return ("accept", 7, Ballot(3, 1), share)
+
+
+class TestShareChecksums:
+    """Checksums over records that carry concrete coded share bytes."""
+
+    def durable_accept(self, data: bytes):
+        sim, disk, wal = make_wal()
+        wal.append(concrete_accept(data), len(data), lambda: None)
+        sim.run()
+        assert wal.durable[0].valid
+        return wal
+
+    def test_one_byte_of_share_data_differs(self):
+        data = os.urandom(4096)
+        wal = self.durable_accept(data)
+        rotten = bytearray(data)
+        rotten[1234] ^= 0x01
+        assert wal.corrupt_record(0, payload=concrete_accept(bytes(rotten)))
+        assert not wal.durable[0].valid
+        assert [r.lsn for r in wal.verify()] == [0]
+
+    def test_corrupt_flag_flipped(self):
+        wal = self.durable_accept(os.urandom(512))
+        op, inst, ballot, share = wal.durable[0].payload
+        assert wal.corrupt_record(0, payload=(op, inst, ballot, share.corrupted()))
+        assert not wal.durable[0].valid
+
+    def test_payload_swapped_for_another_structure(self):
+        wal = self.durable_accept(os.urandom(512))
+        assert wal.corrupt_record(0, payload=("promise", Ballot(3, 1)))
+        assert not wal.durable[0].valid
+
+    def test_stored_crc_bits_flipped(self):
+        wal = self.durable_accept(os.urandom(512))
+        assert wal.corrupt_record(0)
+        assert not wal.durable[0].valid
+
+    def test_equal_payload_rebuilt_stays_valid(self):
+        data = os.urandom(2048)
+        wal = self.durable_accept(data)
+        assert wal.corrupt_record(0, payload=concrete_accept(bytes(data)))
+        assert wal.durable[0].valid
+
+    def test_share_bytes_never_pass_through_repr(self):
+        data = _NoRepr(os.urandom(1024))
+        sim, disk, wal = make_wal()
+        wal.append(concrete_accept(data), len(data), lambda: None)
+        wal.append([{"frame": FramedCommand("put", "k", data)}], 1, lambda: None)
+        sim.run()
+        assert wal.verify() == []
+        wal.crash()
+        assert len(wal.recover()) == 2
+        assert wal.recovery_corrupt == 0
+
+    def test_bytes_fold_to_type_length_and_crc(self):
+        a, b = os.urandom(64), os.urandom(64)
+        assert record_checksum(0, a) != record_checksum(0, b)
+        assert record_checksum(0, a) != record_checksum(0, a + b"\0")
+        assert record_checksum(0, a) == record_checksum(0, bytes(a))
+        # The type still shows, as it does in ``repr``.
+        assert record_checksum(0, a) != record_checksum(0, bytearray(a))
+
+    def test_scalars_stay_as_discriminating_as_repr(self):
+        variants = [1, 1.0, True, "1", None, (1,), [1], {1}, frozenset({1}),
+                    {1: 1}, Ballot(1, 1), ("1",)]
+        sums = {record_checksum(0, v) for v in variants}
+        assert len(sums) == len(variants)
 
 
 class TestTornTail:
