@@ -233,51 +233,11 @@ class EpisodeResult:
         return self.reads_ok / self.reads_attempted
 
     def to_jsonable(self) -> dict:
-        return {
-            "seed": self.seed, "ok": self.ok,
-            "ops_total": self.ops_total,
-            "ops_completed": self.ops_completed,
-            "violations": self.violations,
-            "lin_failures": self.lin_failures,
-            "rot_injected": self.rot_injected,
-            "shares_repaired": self.shares_repaired,
-            "repair_bytes": self.repair_bytes,
-            "wal_discarded": self.wal_discarded,
-            "snapshot_transfers": self.snapshot_transfers,
-            "rebuild_bytes": self.rebuild_bytes,
-            "wal_bytes": self.wal_bytes,
-            "checkpoint_bytes": self.checkpoint_bytes,
-            "records_compacted": self.records_compacted,
-            "requests_shed": self.requests_shed,
-            "shed_by_tenant": self.shed_by_tenant,
-            "busy_by_tenant": self.busy_by_tenant,
-            "hedges_issued": self.hedges_issued,
-            "hedge_wins": self.hedge_wins,
-            "timeout_adaptations": self.timeout_adaptations,
-            "elections_started": self.elections_started,
-            "leader_changes": self.leader_changes,
-            "step_downs": self.step_downs,
-            "reads_attempted": self.reads_attempted,
-            "reads_ok": self.reads_ok,
-            "read_availability": round(self.read_availability, 6),
-            "follower_reads": self.follower_reads,
-            "read_index_rounds": self.read_index_rounds,
-            "degraded_reads": self.degraded_reads,
-            "read_retry_causes": self.read_retry_causes,
-            "rtt_estimates": self.rtt_estimates,
-            "evictions": self.evictions,
-            "false_evictions": self.false_evictions,
-            "replacements": self.replacements,
-            "time_to_restore": self.time_to_restore,
-            "shard_splits": self.shard_splits,
-            "shard_merges": self.shard_merges,
-            "migrations_completed": self.migrations_completed,
-            "copies_proposed": self.copies_proposed,
-            "fence_writes": self.fence_writes,
-            "wrong_shard_replies": self.wrong_shard_replies,
-            "map_version": self.map_version,
-            "schedule": [e.to_jsonable() for e in self.schedule],
-        }
+        """Every field but ``bundle_path``, plus ``read_availability``."""
+        out = asdict(self)
+        del out["bundle_path"]
+        out["read_availability"] = round(self.read_availability, 6)
+        return out
 
 
 class ChaosRunner:

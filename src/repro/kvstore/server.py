@@ -187,64 +187,28 @@ class KVServer:
             node.prepare_gate = self._prepare_gate
             self.groups.append(node)
 
+        # Everything below survives a crash; _reset_volatile (end of
+        # this constructor) declares what a crash loses. recover()
+        # clears the leader hint itself.
         self.up = True
-        self.is_leader_server = False
         self.current_leader: int | None = INITIAL_LEADER
-        self._electing = False
-        self._hb_timer = None
-        self._monitor_timer = None
-        # Lease safety state (§4.3 done right under partitions):
-        # followers only honor heartbeats at or above this ballot, and
-        # the leader only treats its lease as renewed once a heartbeat
-        # round is acked by enough followers to guarantee overlap with
-        # any future electing read quorum.
-        self._hb_floor: Ballot = NULL_BALLOT
-        self._hb_seq = 0
-        self._hb_rounds: dict[int, tuple[float, set[int]]] = {}
-        # Pre-vote (partial-partition tolerance): a vacancy-timeout
-        # candidate first asks whether the leader looks dead to a read
-        # quorum, and only bumps a real ballot once Q_R members
-        # (including itself) concur. Grants are stateless opinions, so
-        # a one-way-deaf follower probing forever cannot depose a
-        # healthy leader. ``_pre_vote_state`` is (round_id, grants).
-        self._pre_vote_round = 0
-        self._pre_vote_state: tuple[int, set[int]] | None = None
         # Check-quorum: a leader whose lease stays expired past this
         # grace (it cannot hear a renewal quorum) demotes itself instead
         # of limping on — the cluster's other side may already be
         # electing, and a deaf leader serving stale lease reads is the
         # failure mode the lease math exists to prevent.
         self.check_quorum_grace = 2 * cfg.lease_config.heartbeat_interval
-        self._lease_lost_since: float | None = None
-        # Election-churn accounting (cumulative across crashes, like
-        # requests_shed): real ballot-bump elections started here, wins
-        # that made this server leader, and demotions of any cause.
+        # Heartbeat and pre-vote round ids stay monotonic across
+        # crashes, so a reply to a pre-crash round never matches a new
+        # one.
+        self._hb_seq = 0
+        self._pre_vote_round = 0
+        # Cumulative counters. Election churn: real ballot-bump
+        # elections started here, wins that made this server leader,
+        # and demotions of any cause.
         self.elections_started = 0
         self.leader_changes = 0
         self.step_downs = 0
-        # Exactly-once apply: identities of client ops already applied,
-        # keyed (group, client, op_id). Rebuilt deterministically from
-        # the log on recovery (same log order => same set). A set, not
-        # a per-client high-water mark, because clients may issue many
-        # concurrent ops whose retries commit out of id order.
-        self._applied_ops: set[tuple[int, str, int]] = set()
-        # Group-agnostic projection of the same identities: under
-        # dynamic sharding a retry may route to a *different* group
-        # than the original commit (the key migrated in between), so
-        # the leader's duplicate check must ignore the group.
-        self._applied_ids: set[tuple[str, int]] = set()
-        # Client responses parked until the decided instance is applied
-        # locally (read-your-writes: PutOk must imply visibility).
-        self._apply_waiters: dict[tuple[int, int], list[Callable[[], None]]] = {}
-        # Per-group election read barrier: highest instance the log
-        # frontier reached when this server last won an election. Fast
-        # reads are refused until the apply cursor passes it — a fresh
-        # leader's store may otherwise miss writes the previous leader
-        # acknowledged.
-        self._read_barrier: list[int] = [-1] * len(self.groups)
-        # Commit-only instances (decision id known, command unknown)
-        # with an in-flight catch-up fetch; see _fetch_missing.
-        self._fetching: set[tuple[int, int]] = set()
         self.recovery_reads = 0
         self.fast_reads = 0
         self.consistent_reads = 0
@@ -260,6 +224,17 @@ class KVServer:
         self.read_index_rounds = 0
         self.read_index_served = 0
         self.degraded_reads = 0
+        self.requests_shed = 0
+        self.requests_shed_by_tenant: dict[str, int] = {}
+        self.batches_proposed = 0
+        self.splits_started = 0
+        self.merges_started = 0
+        self.migrations_completed = 0
+        self.copies_proposed = 0
+        self.fence_writes = 0
+        self.wrong_shard_replies = 0
+        self.view_changes_completed = 0
+        self.view_changes_aborted = 0
 
         # Admission control (overload protection + tenant isolation):
         # the leader bounds its proposal pipeline. Up to
@@ -275,24 +250,13 @@ class KVServer:
         # admit->reply service time) feeds the per-tenant retry_after
         # estimate handed to shed clients. The untagged tenant ("") has
         # weight 1 like any other, so single-tenant behaviour is the
-        # old FIFO pipeline exactly.
-        self._open_proposals = 0
-        self._admission_queues: dict[str, deque] = {}
-        self._drr_order: list[str] = []
-        self._drr_deficit: dict[str, float] = {}
-        self._drr_cursor = 0
-        self._drr_fresh = True
-        self._pumping = False
+        # old FIFO pipeline exactly. Tenant registration (DRR order)
+        # survives; _flush_admissions empties the queues and pending
+        # batches on a crash and on every demotion.
         self._admission_epoch = 0
         self._svc_ewma = 0.0
-        self.requests_shed = 0
-        self.requests_shed_by_tenant: dict[str, int] = {}
-
-        # Share fetching (degraded reads, scrub repair, placement fill,
-        # snapshot re-coding, migration copies) and catch-up source
-        # ranking: see kvstore/fetch.py.
-        self.fetcher = ShareFetcher(self)
-
+        self._drr_order: list[str] = []
+        self._admission_queues: dict[str, deque] = {}
         # Leader-side command batching: admitted mutations accumulate in
         # a per-group pending batch, closed by count (batch_max_commands),
         # framed bytes (batch_max_bytes), or the linger timer on the sim
@@ -303,14 +267,11 @@ class KVServer:
         # single-command path untouched (bit-for-bit determinism).
         self._pending_batch: dict[int, list] = {}
         self._batch_timers: dict[int, object] = {}
-        self.batches_proposed = 0
 
-        # Background scrubber (disabled when scrub_interval == 0): each
-        # pass re-verifies WAL record checksums and repairs corrupt
-        # coded shares from peers via the RS decoder. ``_scrubbing``
-        # holds the (group, instance) pairs with a repair in flight.
-        self._scrub_timer = None
-        self._scrubbing: set[tuple[int, int]] = set()
+        # Share fetching (degraded reads, scrub repair, placement fill,
+        # snapshot re-coding, migration copies) and catch-up source
+        # ranking: see kvstore/fetch.py.
+        self.fetcher = ShareFetcher(self)
 
         # Checkpointing + WAL compaction (disabled when
         # checkpoint_interval == 0): periodically persist the applied KV
@@ -320,46 +281,18 @@ class KVServer:
         # instances below it can no longer be served entry-by-entry
         # (CatchUp); a peer that far behind gets snapshot transfer.
         self.checkpoint_store = CheckpointStore(sim, self.disk, f"{name}.ckpt")
-        self._ckpt_timer = None
-        self._ckpt_inflight = False
         self.last_checkpoint_at: float | None = None
         self.compact_floor: list[int] = [0] * len(self.groups)
 
-        # Replica rebuild (wipe + rejoin) state. ``_wiped`` marks that
-        # the next recover() starts from an empty disk; ``_rebuild_pending``
-        # holds groups still being rebuilt (the node stays an observer —
-        # it learns but does not vote — until its group's rebuild ends);
-        # ``_snap_inflight[g]`` is the host currently streaming group
-        # ``g``'s snapshot to us.
+        # Replica rebuild (wipe + rejoin). ``_wiped`` marks that the next
+        # recover() starts from an empty disk; ``_rebuild_pending`` holds
+        # groups still being rebuilt (the node stays an observer — it
+        # learns but does not vote — until its group's rebuild ends). A
+        # node that crashed mid-rebuild is still amnesiac, so both
+        # survive a crash.
         self._wiped = False
         self._rebuild_pending: set[int] = set()
-        self._snap_inflight: dict[int, str] = {}
-        self._rebuild_timer = None
-
-        # Dynamic sharding: leader-resident rebalancer + migration
-        # driver. ``max_group_pipeline`` caps how many proposals one
-        # data group may have in flight (0 = uncapped, the original
-        # behaviour) — it is what makes a hot shard *leader-bound* in a
-        # measurable, per-group way so splitting it demonstrably helps.
-        # ``_group_load`` counts admitted mutations per group in the
-        # current rebalance window; ``_load_ewma`` smooths them across
-        # windows; ``_key_freq`` holds bounded per-key write counts used
-        # to pick a weighted-median split boundary. ``_migration_task``
-        # is the map version a local copy driver is running for (None =
-        # idle); the authoritative in-flight marker lives in the
-        # replicated map itself, so a new leader resumes from it.
-        self._rebalance_timer = None
-        self._group_load: list[float] = [0.0] * len(self.groups)
-        self._load_ewma: list[float] = [0.0] * len(self.groups)
-        self._key_freq: dict[str, int] = {}
         self._key_freq_cap = 512
-        self._migration_task: int | None = None
-        self.splits_started = 0
-        self.merges_started = 0
-        self.migrations_completed = 0
-        self.copies_proposed = 0
-        self.fence_writes = 0
-        self.wrong_shard_replies = 0
 
         # View / reconfiguration state (§4.6) and the self-healing
         # membership subsystem riding on it. ``auto_reconfigure``
@@ -367,15 +300,12 @@ class KVServer:
         # (§6.1's "drop the dead member so the next failure is
         # survivable"); ``auto_heal`` additionally closes the loop —
         # probe the evicted slot for a rebuilt spare and re-admit it
-        # via reconfigure_add, restoring full redundancy.
+        # via reconfigure_add, restoring full redundancy. The view
+        # survives a crash: it was chosen by a quorum. So does
+        # ``shard_map``: replay and catch-up re-apply older versions as
+        # no-ops.
         self.view_epoch = 0
         self.member_ids: set[int] = set(peers)
-        self._view_changing = False
-        self._last_ack: dict[int, float] = {}
-        self.view_changes_completed = 0
-        self.view_changes_aborted = 0
-        self._last_pre_vote_seen: float | None = None
-        self._last_view_sync = float("-inf")
         self.detector = AccrualFailureDetector(
             heartbeat_interval=cfg.lease_config.heartbeat_interval,
         )
@@ -389,6 +319,7 @@ class KVServer:
             restore=self.reconfigure_add,
             probe=self._probe_spare,
         )
+        self._reset_volatile()
 
         # Client-facing handlers.
         self.endpoint.on_request_async(ClientPut, self._on_write)
@@ -407,6 +338,83 @@ class KVServer:
         self.endpoint.on(InstallShare, self._on_install_share)
         self.endpoint.on_request_async(ProbeSpare, self._on_probe_spare)
 
+    def _reset_volatile(self) -> None:
+        """Set every field a crash loses to its start-up value. The
+        constructor and :meth:`crash` both call this, so the list of
+        what a crash forgets is written once."""
+        self.is_leader_server = False
+        self._electing = False
+        # Lease safety state (§4.3 done right under partitions):
+        # followers only honor heartbeats at or above this ballot, and
+        # the leader only treats its lease as renewed once a heartbeat
+        # round is acked by enough followers to guarantee overlap with
+        # any future electing read quorum. recover() rebuilds the floor
+        # from the durably promised ballots.
+        self._hb_floor: Ballot = NULL_BALLOT
+        self._hb_rounds: dict[int, tuple[float, set[int]]] = {}
+        # Pre-vote (partial-partition tolerance): a vacancy-timeout
+        # candidate first asks whether the leader looks dead to a read
+        # quorum, and only bumps a real ballot once Q_R members
+        # (including itself) concur. Grants are stateless opinions, so
+        # a one-way-deaf follower probing forever cannot depose a
+        # healthy leader. ``_pre_vote_state`` is (round_id, grants).
+        self._pre_vote_state: tuple[int, set[int]] | None = None
+        # When this leader's lease lapsed (check-quorum's clock).
+        self._lease_lost_since: float | None = None
+        # Exactly-once apply: identities of client ops already applied,
+        # keyed (group, client, op_id). Rebuilt deterministically from
+        # the log on recovery (same log order => same set). A set, not
+        # a per-client high-water mark, because clients may issue many
+        # concurrent ops whose retries commit out of id order.
+        self._applied_ops: set[tuple[int, str, int]] = set()
+        # Group-agnostic projection of the same identities, kept only
+        # under dynamic sharding: a retry may route to a *different*
+        # group than the original commit (the key migrated in between),
+        # so the duplicate check must ignore the group.
+        self._applied_ids: set[tuple[str, int]] = set()
+        # Client responses parked until the decided instance is applied
+        # locally (read-your-writes: PutOk must imply visibility).
+        self._apply_waiters: dict[tuple[int, int], list[Callable[[], None]]] = {}
+        # Per-group election read barrier: highest instance the log
+        # frontier reached when this server last won an election. Fast
+        # reads are refused until the apply cursor passes it — a fresh
+        # leader's store may otherwise miss writes the previous leader
+        # acknowledged.
+        self._read_barrier: list[int] = [-1] * len(self.groups)
+        # Commit-only instances (decision id known, command unknown)
+        # with an in-flight catch-up fetch; see _fetch_missing.
+        self._fetching: set[tuple[int, int]] = set()
+        # (group, instance) pairs with a scrub repair in flight.
+        self._scrubbing: set[tuple[int, int]] = set()
+        self._ckpt_inflight = False
+        # ``_snap_inflight[g]`` is the host currently streaming group
+        # ``g``'s snapshot to us.
+        self._snap_inflight: dict[int, str] = {}
+        # Dynamic sharding: leader-resident rebalancer + migration
+        # driver. ``_group_load`` counts admitted mutations per group in
+        # the current rebalance window; ``_load_ewma`` smooths them
+        # across windows; ``_key_freq`` holds bounded per-key write
+        # counts used to pick a weighted-median split boundary.
+        # ``_migration_task`` is the map version a local copy driver is
+        # running for (None = idle); the authoritative in-flight marker
+        # lives in the replicated map itself, so a new leader resumes
+        # from it.
+        self._group_load: list[float] = [0.0] * len(self.groups)
+        self._load_ewma: list[float] = [0.0] * len(self.groups)
+        self._key_freq: dict[str, int] = {}
+        self._migration_task: int | None = None
+        # View change in flight (leader), last ack per member, and the
+        # partition hints that suppress eviction.
+        self._view_changing = False
+        self._last_ack: dict[int, float] = {}
+        self._last_pre_vote_seen: float | None = None
+        self._last_view_sync = float("-inf")
+        # Pending runs of the periodic tasks, by tick name (see _every).
+        self._periodic: dict[str, object] = {}
+        # The admission pipeline and pending batches (see __init__).
+        self._pumping = False
+        self._flush_admissions()
+
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -417,10 +425,7 @@ class KVServer:
         self.lease.renew()  # startup grace period
         if self.current_leader == self.node_id:
             self._start_election()
-        self._arm_monitor()
-        self._arm_scrubber()
-        self._arm_checkpointer()
-        self._arm_rebalancer()
+        self._start_periodic()
 
     def crash(self) -> None:
         """Fail-stop: volatile state gone, host unreachable."""
@@ -430,57 +435,12 @@ class KVServer:
             node.crash()
         self.checkpoint_store.crash()
         self.store.clear()
-        self.is_leader_server = False
-        self._electing = False
-        self._view_changing = False
-        self._last_ack.clear()
         self.detector.reset()
         self.repair.reset()
-        self._last_pre_vote_seen = None
-        self._last_view_sync = float("-inf")
-        self._hb_floor = NULL_BALLOT
-        self._hb_rounds.clear()
-        self._pre_vote_state = None
-        self._lease_lost_since = None
-        self._applied_ops.clear()
-        self._applied_ids.clear()
-        self._apply_waiters.clear()
-        self._read_barrier = [-1] * len(self.groups)
-        self._fetching.clear()
-        self._scrubbing.clear()
         self.fetcher.load.clear()
-        self._ckpt_inflight = False
-        self._snap_inflight.clear()
-        self._flush_admissions()
-        # NOTE: _rebuild_pending deliberately survives a crash — a node
-        # that crashed mid-rebuild is still amnesiac and must come back
-        # as an observer until its rebuild completes.
-        if self._hb_timer is not None:
-            self._hb_timer.cancel()
-            self._hb_timer = None
-        if self._monitor_timer is not None:
-            self._monitor_timer.cancel()
-            self._monitor_timer = None
-        if self._scrub_timer is not None:
-            self._scrub_timer.cancel()
-            self._scrub_timer = None
-        if self._ckpt_timer is not None:
-            self._ckpt_timer.cancel()
-            self._ckpt_timer = None
-        if self._rebuild_timer is not None:
-            self._rebuild_timer.cancel()
-            self._rebuild_timer = None
-        if self._rebalance_timer is not None:
-            self._rebalance_timer.cancel()
-            self._rebalance_timer = None
-        # NOTE: ``shard_map`` survives a crash on purpose — applied map
-        # versions were chosen by a quorum, so the in-memory map is
-        # correct cluster state even if the local WAL tail was lost;
-        # replay and catch-up re-apply older versions as no-ops.
-        self._migration_task = None
-        self._group_load = [0.0] * len(self.groups)
-        self._load_ewma = [0.0] * len(self.groups)
-        self._key_freq.clear()
+        for handle in self._periodic.values():
+            handle.cancel()
+        self._reset_volatile()
 
     def wipe(self) -> None:
         """Catastrophic failure: the host goes down AND its disk is lost
@@ -533,30 +493,57 @@ class KVServer:
         self.current_leader = None
         self.lease.invalidate()
         self.lease.renew()  # grace period before trying to elect
-        self._arm_monitor()
-        self._arm_scrubber()
-        self._arm_checkpointer()
-        self._arm_rebalancer()
+        self._start_periodic()
         if self._rebuild_pending:
-            self._rebuild_timer = self.sim.call_after(1.0, self._rebuild_tick)
+            self._every(1.0, 1.0, self._rebuild_tick,
+                        while_=lambda: bool(self._rebuild_pending))
         self._request_catch_up()
+
+    def _start_periodic(self) -> None:
+        """Arm the lease monitor and the enabled background tasks. The
+        first scrub, checkpoint and rebalance runs are staggered by node
+        id so the fleet's IO and load windows do not synchronize."""
+        cfg = self.cfg
+        hb = cfg.lease_config.heartbeat_interval
+        self._every(hb, hb, self._monitor_tick)
+        for period, stagger, tick in (
+            (cfg.scrub_interval, 0.1, self.scrub_now),
+            (cfg.checkpoint_interval, 0.07, self.checkpoint_now),
+            (cfg.rebalance_interval if cfg.dynamic_shards else 0.0, 0.1,
+             self._rebalance_tick),
+        ):
+            if period > 0:
+                self._every(period * (1.0 + stagger * self.node_id), period,
+                            tick)
+
+    def _every(self, first: float, period: float, tick: Callable,
+               while_: Callable[[], bool] = lambda: True) -> None:
+        """Run ``tick`` ``first`` s from now, then every ``period`` s
+        while the server is up and ``while_()`` holds. Each run re-arms
+        after the tick's body, so what the body schedules for the same
+        instant runs before the next tick. Arming an armed task replaces
+        its pending run; crash() cancels every pending run."""
+        key = tick.__name__
+        old = self._periodic.get(key)
+        if old is not None:
+            old.cancel()
+
+        def run() -> None:
+            if self.up and while_():
+                tick()
+                self._periodic[key] = self.sim.call_after(period, run)
+
+        self._periodic[key] = self.sim.call_after(first, run)
 
     # ------------------------------------------------------------------
     # leases, heartbeats, election
     # ------------------------------------------------------------------
 
-    def _arm_monitor(self) -> None:
-        if not self.up:
-            return
-        interval = self.cfg.lease_config.heartbeat_interval
-        self._monitor_timer = self.sim.call_after(interval, self._monitor_tick)
-
     def _monitor_tick(self) -> None:
-        if not self.up:
-            return
         if self.is_leader_server:
             if self._check_quorum_lapsed():
-                self._step_down("check-quorum")
+                self.lease.invalidate()
+                self._demote("check-quorum")
             else:
                 self._send_heartbeats()
         elif not self._electing and self.lease.vacant_for_follower():
@@ -569,7 +556,6 @@ class KVServer:
                 self._maybe_elect,
             )
             self._electing = True
-        self._arm_monitor()
 
     def _maybe_elect(self) -> None:
         if not self.up or self.is_leader_server:
@@ -670,19 +656,25 @@ class KVServer:
             self._lease_lost_since = self.sim.now
         return self.sim.now - self._lease_lost_since > self.check_quorum_grace
 
-    def _step_down(self, why: str) -> None:
-        """Demote: stop serving, invalidate the lease, rejoin the
-        follower pool (the vacancy timer then governs re-election)."""
-        if not self.is_leader_server:
-            return
-        self.tracer.emit(self.sim.now, "kv", f"{self.name} steps down ({why})")
+    def _demote(self, why: str, leader: int | None = None) -> None:
+        """The one way out of leadership — check-quorum, a preempted
+        group, a higher-ballot heartbeat, removal from the view: stop
+        serving and rejoin the follower pool (the vacancy timer then
+        governs re-election). Queued and batched client work is
+        answered NotReady. The copy driver stops (the replicated map's
+        marker lets the next leader, this one included, resume it), and
+        so does a view change in flight (the winner re-runs membership
+        repair). Only a demoted leader counts a step-down."""
+        if self.is_leader_server:
+            self.tracer.emit(self.sim.now, "kv",
+                             f"{self.name} steps down ({why})")
+            self.step_downs += 1
+            self.metrics.counter("election.step_down").inc(1)
         self.is_leader_server = False
-        self.current_leader = None
-        self.step_downs += 1
-        self.metrics.counter("election.step_down").inc(1)
+        self.current_leader = leader
         self._lease_lost_since = None
-        self.lease.invalidate()
-        self._migration_task = None  # copy driver aborts; successor resumes
+        self._view_changing = False
+        self._migration_task = None
         self._flush_admissions()
 
     def _start_election(self) -> None:
@@ -844,15 +836,7 @@ class KVServer:
             if msg.ballot is not None and ours is not None and msg.ballot < ours:
                 return  # stale rival; our own heartbeats depose it
             # A higher-ballot leader exists: step down and follow it.
-            self.tracer.emit(
-                self.sim.now, "kv",
-                f"{self.name} steps down for {msg.leader_id}",
-            )
-            self.is_leader_server = False
-            self.step_downs += 1
-            self.metrics.counter("election.step_down").inc(1)
-            self._lease_lost_since = None
-            self._flush_admissions()
+            self._demote(f"for {msg.leader_id}", leader=msg.leader_id)
         if msg.ballot is not None:
             self._hb_floor = max(self._hb_floor, msg.ballot)
         self.current_leader = msg.leader_id
@@ -908,20 +892,7 @@ class KVServer:
         return wait
 
     def _on_preempted(self, group: int) -> None:
-        if self.is_leader_server:
-            self.tracer.emit(
-                self.sim.now, "kv", f"{self.name} demoted (group {group})"
-            )
-            self.step_downs += 1
-            self.metrics.counter("election.step_down").inc(1)
-            self._lease_lost_since = None
-        self.is_leader_server = False
-        self.current_leader = None
-        # A view change this (now deposed) leader had in flight is dead
-        # — the winner re-runs membership repair itself. Holding the
-        # fence would wedge this node's own controller if re-elected.
-        self._view_changing = False
-        self._flush_admissions()
+        self._demote(f"preempted in group {group}")
 
     # ------------------------------------------------------------------
     # apply hook: Paxos decisions -> local store (§4.4)
@@ -990,7 +961,8 @@ class KVServer:
                 if ident in self._applied_ops:
                     continue
                 self._applied_ops.add(ident)
-                self._applied_ids.add((item.client, item.op_id))
+                if self.cfg.dynamic_shards:
+                    self._applied_ids.add((item.client, item.op_id))
             if item.op == "put":
                 if full is not None:
                     self.store.put(item.key, datas[idx], item.size, version,
@@ -1087,7 +1059,15 @@ class KVServer:
         return False
 
     def _already_applied(self, group: int, client: str, op_id: int) -> bool:
-        return bool(client) and (group, client, op_id) in self._applied_ops
+        """The one exactly-once check on the write path, for a fresh
+        request and for one leaving the admission queue alike. Under
+        dynamic sharding it is also group-agnostic: a migration may
+        have moved the key since the original commit landed in the old
+        owner's log (``_applied_ids`` stays empty otherwise)."""
+        return bool(client) and (
+            (group, client, op_id) in self._applied_ops
+            or (client, op_id) in self._applied_ids
+        )
 
     # -- admission control (overload protection) -----------------------
 
@@ -1265,7 +1245,7 @@ class KVServer:
             self._admission_queues,
             {t: deque() for t in self._admission_queues},
         )
-        self._drr_deficit = {t: 0.0 for t in self._drr_deficit}
+        self._drr_deficit = dict.fromkeys(self._drr_order, 0.0)
         self._drr_cursor = 0
         self._drr_fresh = True
         self._flush_batches()
@@ -1422,16 +1402,9 @@ class KVServer:
         if not self._shard_write_ok(msg, respond):
             return
         group = self.shard_map.group_of(msg.key)
-        if self._already_applied(group, msg.client, msg.op_id) or (
-            self.cfg.dynamic_shards
-            and bool(msg.client)
-            and (msg.client, msg.op_id) in self._applied_ids
-        ):
+        if self._already_applied(group, msg.client, msg.op_id):
             # Retry of a write that already committed (the first reply
             # was lost): acknowledge without burning a new instance.
-            # Under dynamic sharding the identity check is group-
-            # agnostic — a migration may have moved the key since the
-            # original commit landed in the old owner's log.
             reply = PutOk(msg.key, map_version=self.shard_map.version)
             respond(reply, reply.wire_bytes)
             return
@@ -1729,22 +1702,6 @@ class KVServer:
     # background scrubber: detect and repair rotten coded shares
     # ------------------------------------------------------------------
 
-    def _arm_scrubber(self) -> None:
-        if not self.up or self.cfg.scrub_interval <= 0:
-            return
-        # Stagger the first pass per server so the fleet's scrub IO
-        # does not synchronize.
-        delay = self.cfg.scrub_interval * (1.0 + 0.1 * self.node_id)
-        self._scrub_timer = self.sim.call_after(delay, self._scrub_tick)
-
-    def _scrub_tick(self) -> None:
-        if not self.up:
-            return
-        self.scrub_now()
-        self._scrub_timer = self.sim.call_after(
-            self.cfg.scrub_interval, self._scrub_tick
-        )
-
     def inject_bit_rot(self, rng) -> bool:
         """Silently rot one durably stored coded share on this server.
 
@@ -1980,22 +1937,6 @@ class KVServer:
     # ------------------------------------------------------------------
     # checkpointing + WAL compaction
     # ------------------------------------------------------------------
-
-    def _arm_checkpointer(self) -> None:
-        if not self.up or self.cfg.checkpoint_interval <= 0:
-            return
-        # Stagger per server so the fleet's checkpoint IO (and the
-        # brief extra disk load) does not synchronize.
-        delay = self.cfg.checkpoint_interval * (1.0 + 0.07 * self.node_id)
-        self._ckpt_timer = self.sim.call_after(delay, self._ckpt_tick)
-
-    def _ckpt_tick(self) -> None:
-        if not self.up:
-            return
-        self.checkpoint_now()
-        self._ckpt_timer = self.sim.call_after(
-            self.cfg.checkpoint_interval, self._ckpt_tick
-        )
 
     def checkpoint_now(self, on_done: Callable[[], None] | None = None) -> bool:
         """Persist applied KV state + acceptor metadata atomically, then
@@ -2357,8 +2298,8 @@ class KVServer:
             self.view_epoch = nv.epoch
             self.member_ids = set(nv.members)
             self.config = nv.config
-            if self.node_id not in nv.members:
-                self.is_leader_server = False
+            if self.node_id not in nv.members and self.is_leader_server:
+                self._demote("removed from the view")
 
     def _on_confirm_placement(self, msg: ConfirmPlacement, src: str, respond) -> None:
         if not self.up:
@@ -2475,13 +2416,9 @@ class KVServer:
         """Re-probe peers while a rebuild is pending: the initial
         catch-up broadcast can be lost wholesale to a partition, and
         the rebuilt server must not stay an observer forever."""
-        if not self.up or not self._rebuild_pending:
-            self._rebuild_timer = None
-            return
         for g in sorted(self._rebuild_pending):
             if g not in self._snap_inflight:
                 self._catch_up_group(g)
-        self._rebuild_timer = self.sim.call_after(1.0, self._rebuild_tick)
 
     def _make_missing_hook(self, group: int) -> Callable[[int], None]:
         """Hook for PaxosNode.on_missing_value: the apply cursor stalled
@@ -3297,23 +3234,7 @@ class KVServer:
 
     # -- load-driven rebalancer ----------------------------------------
 
-    def _arm_rebalancer(self) -> None:
-        if (
-            not self.up or not self.cfg.dynamic_shards
-            or self.cfg.rebalance_interval <= 0
-        ):
-            return
-        # Stagger per server like the scrubber, so follower windows do
-        # not tick in lockstep with the leader's.
-        delay = self.cfg.rebalance_interval * (1.0 + 0.1 * self.node_id)
-        self._rebalance_timer = self.sim.call_after(
-            delay, self._rebalance_tick)
-
     def _rebalance_tick(self) -> None:
-        if not self.up:
-            return
-        self._rebalance_timer = self.sim.call_after(
-            self.cfg.rebalance_interval, self._rebalance_tick)
         window = list(self._group_load)
         self._group_load = [0.0] * len(self.groups)
         for g, n in enumerate(window):

@@ -162,12 +162,3 @@ class Simulator:
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
         return sum(1 for _, _, ev in self._heap if not ev.cancelled)
-
-    # -- misc -----------------------------------------------------------
-
-    def timeout_error(self, msg: str) -> "SimTimeout":
-        return SimTimeout(f"t={self._now:.6f}: {msg}")
-
-
-class SimTimeout(Exception):
-    """A simulated operation exceeded its deadline."""
